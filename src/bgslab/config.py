@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields
 
 OUTPUT_FORMATS = ("json", "csv", "table")
@@ -29,8 +30,10 @@ class Config:
 
 
 def load_config(path: str | None = None, env: dict | None = None) -> Config:
-    """Read `key=value` lines (# comments allowed); BGSLAB_CACHE overrides
-    the cache path."""
+    """Read `key=value` lines; BGSLAB_CACHE overrides the cache path.
+
+    A `#` at the start of a line or value, or after whitespace, starts a
+    comment; a `#` inside a token (`/tmp/a#b`) is part of the value."""
     env = os.environ if env is None else env
     cfg = Config()
     if path is not None:
@@ -43,6 +46,7 @@ def load_config(path: str | None = None, env: dict | None = None) -> Config:
                 if "=" not in line:
                     raise ValueError(f"bad config line: {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
+                value = re.split(r"(?:^|\s)#", value, maxsplit=1)[0].rstrip()
                 if key not in {f.name for f in fields(Config)}:
                     raise ValueError(f"unknown config key: {key!r}")
                 setattr(cfg, key, int(value) if key in int_fields else value)

@@ -16,7 +16,8 @@ runtime below the cutoff plus an analytic slack for the dispatch depth,
 so the quadratic clock C_(2, b_m) can never interrupt it.  Embedding the
 machine at index <m, 2, b_m> then forces the least counterexample of the
 embedded pair to land beyond the cutoff; `verify_crucial_step` checks
-that against an independent double-enumeration oracle.
+that against an independent oracle: one enumeration of formula codes and,
+per satisfiable candidate, one enumeration of truth tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import bgs, sat
-from .codec import CnfFormula, decode_cnf, from_dyadic, pair, to_dyadic, triple_encode
+from .codec import decode_cnf, from_dyadic, pair, to_dyadic, triple_encode
 from .machine import (
     BLANK,
     HALT,
@@ -83,7 +84,6 @@ class EmbeddingRecord:
     k: int
     b_m: int
     n: int  # the index <m, 2, b_m>
-    f_value: bgs.CounterexampleResult | None = None
 
 
 def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
@@ -191,46 +191,23 @@ def verify_no_interrupt(record: EmbeddingRecord, test_window: int = 200) -> NoIn
 
 # --- independent oracle ------------------------------------------------------
 
-def _least_witness_by_tuples(formula: CnfFormula) -> int | None:
-    """Least assignment code satisfying the formula, found by enumerating
-    truth tuples; shares no evaluation path with the verifier or decider."""
-    w = formula.var_count
-    if w > sat.BRUTE_WIDTH_LIMIT:
-        raise sat.WidthExceededError(f"formula has {w} variables")
-    for values in itertools.product((False, True), repeat=w):
-        if all(any(values[abs(lit) - 1] == (lit > 0) for lit in clause)
-               for clause in formula.clauses):
-            return from_dyadic("".join("1" if v else "0" for v in values))
-    return None
-
-
 def predicted_least_counterexample(k: int, search_limit: int = 100_000) -> int:
     """Oracle for the embedded machine's least failing pair.
 
-    Double enumeration: find satisfiable formula codes x > k and their
-    least witnesses y, and minimize pair(x, y).  Monotonicity of the
-    pairing caps both loops at the best candidate found so far.
+    Walk the formula codes x > k; for each, find the least witness y by
+    enumerating truth tuples, and minimize pair(x, y).  Since
+    pair(x, y) >= x, the walk stops at the best candidate found so far
+    (or at `search_limit` while there is none).
     """
+    best = None
     x = k + 1
-    first = None
-    while x <= search_limit:
-        formula = decode_cnf(x)
-        if formula is not None and sat.satisfiable_brute(x):
-            first = x
-            break
+    while x <= (search_limit if best is None else best):
+        y = sat.least_witness_brute(x)
+        if y is not None:
+            best = pair(x, y) if best is None else min(best, pair(x, y))
         x += 1
-    if first is None:
+    if best is None:
         raise RuntimeError(f"no satisfiable formula code in ({k}, {search_limit}]")
-    witness = _least_witness_by_tuples(decode_cnf(first))
-    assert witness is not None
-    best = pair(first, witness)
-    for x2 in range(first + 1, best + 1):
-        formula = decode_cnf(x2)
-        if formula is None or not sat.satisfiable_brute(x2):
-            continue
-        y2 = _least_witness_by_tuples(formula)
-        assert y2 is not None
-        best = min(best, pair(x2, y2))
     return best
 
 
@@ -267,46 +244,12 @@ def verify_crucial_step(record: EmbeddingRecord, budget: int | None = None,
                           z_pred=z_pred, passed=passed)
 
 
-def star_counterexample(q: QuasiTrivialMachine, budget: int,
+def star_counterexample(record: EmbeddingRecord, budget: int,
                         cache: bgs.ResultCache | None = None) -> bgs.CounterexampleResult:
     """The counterexample value of a cutoff machine itself, defined through
     its embedding: build the index from parts rather than by decoding."""
-    record = embed(q)
     index = bgs.BgsIndex(n=record.n, m=record.m, a=2, b=record.b_m)
     return bgs.counterexample(index, budget, cache)
-
-
-@dataclass(frozen=True)
-class RestrictionRow:
-    k: int
-    m: int
-    b_m: int
-    n: int
-    status: str
-    f_star_z: int | None
-    f_bgs_z: int | None
-    z_pred: int
-    passed: bool
-
-
-def restriction_table(ks, budget: int | None = None,
-                      cache: bgs.ResultCache | None = None,
-                      k_max: int = DEFAULT_K_MAX) -> list[RestrictionRow]:
-    """Per-cutoff rows asserting that the machine-side counterexample value
-    equals the embedded index's, with the crucial-step check folded in."""
-    rows = []
-    for k in ks:
-        q = build_qt(k, k_max=k_max)
-        record = embed(q)
-        crucial = verify_crucial_step(record, budget, cache)
-        star = star_counterexample(q, budget if budget is not None else crucial.z_pred + 1,
-                                   cache)
-        equal = star.found and star.z == crucial.z
-        rows.append(RestrictionRow(k=k, m=record.m, b_m=record.b_m, n=record.n,
-                                   status=crucial.status, f_star_z=star.z,
-                                   f_bgs_z=crucial.z, z_pred=crucial.z_pred,
-                                   passed=equal and crucial.passed))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -330,12 +273,11 @@ def lemma_check(ks, budget: int | None = None, window: int = 200,
     step against the oracle, and the restriction identity."""
     rows = []
     for k in ks:
-        q = build_qt(k, k_max=k_max)
-        record = embed(q)
+        record = embed(build_qt(k, k_max=k_max))
         ni = verify_no_interrupt(record, window)
         crucial = verify_crucial_step(record, budget, cache)
-        star = star_counterexample(q, budget if budget is not None else crucial.z_pred + 1,
-                                   cache)
+        star = star_counterexample(record, budget if budget is not None
+                                   else crucial.z_pred + 1, cache)
         equal = star.found and star.z == crucial.z
         rows.append(LemmaCheckRow(k=k, m=record.m, b_m=record.b_m, n=record.n,
                                   status=crucial.status, z=crucial.z,
@@ -343,3 +285,7 @@ def lemma_check(ks, budget: int | None = None, window: int = 200,
                                   restriction_equal=equal,
                                   passed=crucial.passed and ni.ok and equal))
     return rows
+
+
+# the restriction identity is one of lemma_check's per-cutoff checks
+restriction_table = lemma_check

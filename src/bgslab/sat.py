@@ -12,8 +12,9 @@ Turing machines.  Conventions:
 * T enumerates the width-compatible assignments in increasing numeric
   order and returns the least satisfying one, else witness 0.
 
-`satisfiable_brute` is an independently written evaluator used as a test
-oracle; it deliberately shares no evaluation code with V or T.
+`least_witness_brute` (and `satisfiable_brute` on top of it) is an
+independently written evaluator used as a test oracle; it deliberately
+shares no evaluation code with V or T.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .codec import CnfFormula, assignment_bits, decode_cnf, pair, unpair
+from .codec import CnfFormula, assignment_bits, decode_cnf, from_dyadic, pair, unpair
 
 BRUTE_WIDTH_LIMIT = 20
 
@@ -84,20 +85,27 @@ def decider(x: int) -> DeciderResult:
     return DeciderResult(witness=0, satisfiable=False)
 
 
-def satisfiable_brute(x: int) -> bool:
-    """Independent satisfiability oracle over truth tuples.
+def least_witness_brute(x: int) -> int | None:
+    """Independent tuple oracle: the least satisfying assignment code of x,
+    or None when x is invalid or unsatisfiable.
 
     Must stay independent of `_satisfies`: it evaluates clauses directly
-    over boolean tuples instead of dyadic bit strings.
+    over boolean tuples instead of dyadic bit strings.  For a fixed width,
+    `itertools.product` order is numeric order of the assignment codes.
     """
     formula = decode_cnf(x)
     if formula is None:
-        return False
+        return None
     w = formula.var_count
     if w > BRUTE_WIDTH_LIMIT:
         raise WidthExceededError(f"formula has {w} variables, limit is {BRUTE_WIDTH_LIMIT}")
     for values in itertools.product((False, True), repeat=w):
         if all(any(values[abs(lit) - 1] == (lit > 0) for lit in clause)
                for clause in formula.clauses):
-            return True
-    return False
+            return from_dyadic("".join("1" if v else "0" for v in values))
+    return None
+
+
+def satisfiable_brute(x: int) -> bool:
+    """Independent satisfiability oracle over truth tuples."""
+    return least_witness_brute(x) is not None

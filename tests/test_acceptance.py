@@ -152,7 +152,7 @@ def test_criterion_7_restriction_identity():
         assert len(rows) == 7
         for row in rows:
             assert row.status == "found"
-            assert row.f_star_z == row.f_bgs_z
+            assert row.restriction_equal
             assert row.passed
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from bgslab import cli, quasitrivial
+from bgslab.config import Config, load_config
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -172,12 +173,23 @@ def test_timings_flag_adds_millis(capsys):
 
 # --- config ------------------------------------------------------------------
 
-def test_config_file_sets_budget_default(capsys, tmp_path):
+def test_config_file_sets_budget_default(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("BGSLAB_CACHE", raising=False)
     config = tmp_path / "bgslab.conf"
-    config.write_text("# comment\nbudget_default=120\n")
+    cache = tmp_path / "a#b.json"  # a '#' inside a token is not a comment
+    config.write_text(f"# comment\nbudget_default=120  # inline\ncache_path={cache}  # c\n")
     rc, out, _ = run_cli(capsys, ["--config", str(config),
                                   "bgs", "counterexample", "--index", "17"])
     assert rc == 0 and json.loads(out)["budget"] == 120
+    assert cache.exists()
+    # the README's example configuration loads exactly as written
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration", 1)[1].split("```\n", 2)[1]
+    example = tmp_path / "readme.conf"
+    example.write_text(block)
+    assert load_config(str(example), env={}) == Config(
+        budget_default=10000, k_max=32, var_count_max=20,
+        cache_path="/tmp/bgslab-cache.json", output_format="json")
 
 
 def test_bad_config_exits_two(capsys, tmp_path):

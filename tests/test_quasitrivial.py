@@ -157,6 +157,21 @@ def test_oracle_prediction_is_frozen():
         assert qt.predicted_least_counterexample(k) == 93
 
 
+def least_counterexample_reference(k: int) -> int:
+    """The embedded cutoff machine's least counterexample by definition: it
+    outputs 0 beyond the cutoff, so the least z whose formula lies beyond k
+    and whose pair verifies."""
+    z = 0
+    while unpair(z)[0] <= k or sat.verifier(z) != 1:
+        z += 1
+    return z
+
+
+def test_oracle_matches_literal_reference():
+    for k in [*range(65), 100, 200]:
+        assert qt.predicted_least_counterexample(k) == least_counterexample_reference(k), k
+
+
 def test_oracle_prediction_exceeds_cutoff():
     for k in KS:
         z = qt.predicted_least_counterexample(k)
@@ -196,20 +211,20 @@ def test_restriction_table_rows_agree(records):
     assert len(rows) == 7
     for row in rows:
         assert row.passed
-        assert row.f_star_z == row.f_bgs_z == row.z_pred
+        assert row.restriction_equal and row.z == row.z_pred
         assert row.n == records[row.k].n
 
 
 def test_restriction_z_matches_oracle_pointwise():
     rows = qt.restriction_table(range(5))
     predictions = [qt.predicted_least_counterexample(k) for k in range(5)]
-    assert [row.f_bgs_z for row in rows] == predictions
+    assert [row.z for row in rows] == predictions
     # strictness in k is not assumed: these cutoffs share one prediction
     assert len(set(predictions)) == 1
 
 
-def test_star_side_equals_index_side(machines, records):
-    star = qt.star_counterexample(machines[4], 200)
+def test_star_side_equals_index_side(records):
+    star = qt.star_counterexample(records[4], 200)
     direct = bgs.counterexample(bgs.BgsIndex.from_natural(records[4].n), 200)
     assert star == direct
 

@@ -103,6 +103,8 @@ def test_brute_agrees_with_decider_on_initial_segment():
         result = sat.decider(x)
         assert result.satisfiable == expected
         assert (result.witness != 0 or x == 0) == expected
+        if expected:
+            assert sat.least_witness_brute(x) == result.witness
         if result.witness:
             assert sat.verify_pair(x, result.witness) == 1
 
