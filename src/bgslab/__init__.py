@@ -45,7 +45,6 @@ from .quasitrivial import (
     lemma_check,
     measure_b,
     predicted_least_counterexample,
-    restriction_table,
     verify_crucial_step,
     verify_no_interrupt,
 )

@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import os
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import sat
 from .codec import CODEC_VERSION, triple_decode, unpair
@@ -128,12 +128,6 @@ def counterexample(index: BgsIndex, budget: int,
     return result
 
 
-def pnp_scan(indices: Iterable[BgsIndex], budget: int,
-             cache: "ResultCache | None" = None) -> list[tuple[BgsIndex, CounterexampleResult]]:
-    """Finite-range probe: counterexample search per index, in order."""
-    return [(ix, counterexample(ix, budget, cache)) for ix in indices]
-
-
 class ResultCache:
     """Persistent map n -> counterexample outcome, keyed by codec versions.
 
@@ -181,9 +175,17 @@ class ResultCache:
             "machine_encoding_version": MACHINE_ENCODING_VERSION,
             "entries": entries,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # write a sibling file and rename it over the old one, so a crash
+        # mid-write leaves the previous cache in place
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(data, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     def lookup(self, n: int, budget: int) -> CounterexampleResult | None:
         z = self._found.get(n)

@@ -69,31 +69,27 @@ def _parse_clock(text: str) -> ClockSpec:
         a, b = (int(part) for part in text.split(","))
         return ClockSpec(a, b)
     except ValueError as e:
-        raise UsageError(f"bad clock spec {text!r} (expected A,B with A,B >= 1): {e}") from None
+        raise argparse.ArgumentTypeError(
+            f"bad clock spec {text!r} (expected A,B with A,B >= 1): {e}") from None
 
 
-def _parse_range(text: str) -> list[int]:
-    """`A..B` inclusive, single values, and comma-separated unions."""
+def _parse_range(text: str, limit: int) -> list[int]:
+    """`A..B` inclusive, single values, and comma-separated unions; every
+    value must be at most `limit`, checked before a range is expanded."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo_raw, hi_raw = part.split("..", 1)
-            try:
-                lo, hi = int(lo_raw), int(hi_raw)
-            except ValueError:
-                raise UsageError(f"bad range {part!r}") from None
-            if lo < 0 or hi < lo:
-                raise UsageError(f"bad range {part!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            try:
-                value = int(part)
-            except ValueError:
-                raise UsageError(f"bad range element {part!r}") from None
-            if value < 0:
-                raise UsageError(f"bad range element {part!r}")
-            values.append(value)
+        lo_raw, dots, hi_raw = part.partition("..")
+        try:
+            lo = int(lo_raw)
+            hi = int(hi_raw) if dots else lo
+        except ValueError:
+            raise UsageError(f"bad range {part!r}") from None
+        if lo < 0 or hi < lo:
+            raise UsageError(f"bad range {part!r}")
+        if hi > limit:
+            raise UsageError(f"cutoff {hi} exceeds the limit {limit}")
+        values.extend(range(lo, hi + 1))
     return values
 
 
@@ -366,10 +362,7 @@ def cmd_bgs_scan(args, cfg):
 
 
 def cmd_qt_build(args, cfg):
-    try:
-        q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
-    except (quasitrivial.CutoffTooLargeError, sat.WidthExceededError) as e:
-        raise UsageError(str(e)) from None
+    q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
     text = format_machine_file(q.table)
     if args.out is None:
         sys.stdout.write(text)
@@ -389,10 +382,7 @@ def cmd_qt_build(args, cfg):
 
 
 def cmd_qt_embed(args, cfg):
-    try:
-        q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
-    except (quasitrivial.CutoffTooLargeError, sat.WidthExceededError) as e:
-        raise UsageError(str(e)) from None
+    q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
     record = quasitrivial.embed(q)
     row = {"k": record.k, "m": record.m, "b_m": record.b_m, "N": record.n}
     row.update(VERSION_TAGS)
@@ -402,13 +392,10 @@ def cmd_qt_embed(args, cfg):
 
 def cmd_qt_verify(args, cfg):
     cache, cache_path = _load_cache(args, cfg)
-    cutoffs = _parse_range(args.cutoffs)
-    try:
-        checks = quasitrivial.lemma_check(cutoffs, budget=args.budget,
-                                          window=args.window, cache=cache,
-                                          k_max=cfg.k_max)
-    except (quasitrivial.CutoffTooLargeError, sat.WidthExceededError) as e:
-        raise UsageError(str(e)) from None
+    cutoffs = _parse_range(args.cutoffs, cfg.k_max)
+    checks = quasitrivial.lemma_check(cutoffs, budget=args.budget,
+                                      window=args.window, cache=cache,
+                                      k_max=cfg.k_max)
     if cache is not None and cache_path is not None:
         cache.save(cache_path)
     rows = []
@@ -545,7 +532,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except UsageError as e:
+    except (UsageError, quasitrivial.CutoffTooLargeError, sat.WidthExceededError) as e:
         print(f"bgslab: {e}", file=sys.stderr)
         return 2
     except quasitrivial.BudgetTooSmallError as e:

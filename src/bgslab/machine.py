@@ -182,13 +182,6 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 _TRITS = "012"
 
 
-def _from_trits(digits: str) -> int:
-    n = 0
-    for d in digits:
-        n = 3 * n + _TRITS.index(d) + 1
-    return n
-
-
 def _to_trits(n: int) -> str:
     digits = []
     while n > 0:
@@ -204,7 +197,9 @@ def encode_machine(table: TransitionTable) -> int:
         for field in (q, s, nxt, t.write, 0 if t.move == MOVE_L else 1):
             parts.append(to_dyadic(field))
             parts.append("2")
-    return _from_trits("".join(parts))
+    digits = "".join(parts)
+    # bijective base 3 with digits 1, 2, 3 is plain base 3 plus a repunit
+    return int(digits or "0", 3) + (3 ** len(digits) - 1) // 2
 
 
 def decode_machine(m: int) -> TransitionTable:

@@ -15,9 +15,11 @@ The clock offset b_m is measured from the compiled machine's own worst
 runtime below the cutoff plus an analytic slack for the dispatch depth,
 so the quadratic clock C_(2, b_m) can never interrupt it.  Embedding the
 machine at index <m, 2, b_m> then forces the least counterexample of the
-embedded pair to land beyond the cutoff; `verify_crucial_step` checks
-that against an independent oracle: one enumeration of formula codes and,
-per satisfiable candidate, one enumeration of truth tuples.
+embedded pair to land beyond the cutoff; `lemma_check` checks that
+against an independent oracle: one enumeration of formula codes x > k and,
+per satisfiable candidate, one enumeration of truth tuples.  The oracle
+stops at the first x with pair(x, 0) >= the best candidate so far, since
+pair(x, y) >= pair(x, 0) = x(x + 1)/2.
 """
 
 from __future__ import annotations
@@ -54,28 +56,11 @@ class BudgetTooSmallError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CutoffSpec:
-    """The decider's answer table on the initial segment [0, k]."""
-
-    k: int
-    answers: tuple[int, ...]  # answers[x] = least witness of x, 0 when none
-
-    @classmethod
-    def compute(cls, k: int) -> "CutoffSpec":
-        for x in range(k + 1):
-            formula = decode_cnf(x)
-            if formula is not None and formula.var_count > sat.BRUTE_WIDTH_LIMIT:
-                raise sat.WidthExceededError(
-                    f"input {x} below cutoff has {formula.var_count} variables")
-        return cls(k=k, answers=tuple(sat.decider(x).witness for x in range(k + 1)))
-
-
-@dataclass(frozen=True)
 class QuasiTrivialMachine:
     table: TransitionTable
     m: int  # Goedel number of the table
     k: int
-    witnesses: tuple[int, ...]
+    witnesses: tuple[int, ...]  # witnesses[x] = decider's witness of x <= k, 0 when none
 
 
 @dataclass(frozen=True)
@@ -92,7 +77,12 @@ def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
         raise ValueError("cutoff must be a natural number")
     if k > k_max:
         raise CutoffTooLargeError(f"cutoff {k} exceeds the limit {k_max}")
-    spec = CutoffSpec.compute(k)
+    for x in range(k + 1):
+        formula = decode_cnf(x)
+        if formula is not None and formula.var_count > sat.BRUTE_WIDTH_LIMIT:
+            raise sat.WidthExceededError(
+                f"input {x} below cutoff has {formula.var_count} variables")
+    answers = tuple(sat.decider(x).witness for x in range(k + 1))
     depth = len(to_dyadic(k))  # every accepted string has length <= depth
 
     transitions: dict[tuple[int, int], Transition] = {}
@@ -117,7 +107,7 @@ def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
         x = from_dyadic(s)
         if x > k:
             continue  # unaccepted depth-limit node: blank already halts in place
-        witness_bits = to_dyadic(spec.answers[x])
+        witness_bits = to_dyadic(answers[x])
         if not witness_bits:
             # witness 0: explicit halt, so tables for distinct cutoffs differ
             # even when no stored witness distinguishes them
@@ -141,7 +131,7 @@ def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
                 next_free += 1
     table = TransitionTable(state_count=next_free, transitions=transitions)
     return QuasiTrivialMachine(table=table, m=encode_machine(table), k=k,
-                               witnesses=spec.answers)
+                               witnesses=answers)
 
 
 def dispatch_slack(k: int) -> int:
@@ -191,44 +181,34 @@ def verify_no_interrupt(record: EmbeddingRecord, test_window: int = 200) -> NoIn
 
 # --- independent oracle ------------------------------------------------------
 
-def predicted_least_counterexample(k: int, search_limit: int = 100_000) -> int:
+def predicted_least_counterexample(k: int) -> int:
     """Oracle for the embedded machine's least failing pair.
 
     Walk the formula codes x > k; for each, find the least witness y by
     enumerating truth tuples, and minimize pair(x, y).  Since
-    pair(x, y) >= x, the walk stops at the best candidate found so far
-    (or at `search_limit` while there is none).
+    pair(x, y) >= pair(x, 0) = x(x + 1)/2, which grows with x, the walk
+    stops at the first x with pair(x, 0) >= best.  It terminates because
+    [[+v]] is satisfiable for every v and its codes grow with v, so some
+    satisfiable code lies beyond every cutoff.
     """
     best = None
     x = k + 1
-    while x <= (search_limit if best is None else best):
+    while best is None or pair(x, 0) < best:
         y = sat.least_witness_brute(x)
         if y is not None:
             best = pair(x, y) if best is None else min(best, pair(x, y))
         x += 1
-    if best is None:
-        raise RuntimeError(f"no satisfiable formula code in ({k}, {search_limit}]")
     return best
 
 
 # --- lemma checks ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrucialStepRow:
-    k: int
-    m: int
-    b_m: int
-    n: int
-    status: str
-    z: int | None
-    z_pred: int
-    passed: bool
-
-
 def verify_crucial_step(record: EmbeddingRecord, budget: int | None = None,
-                        cache: bgs.ResultCache | None = None) -> CrucialStepRow:
-    """Run the counterexample search on the embedded index and compare the
-    found z against the oracle; z must also clear k + 1."""
+                        cache: bgs.ResultCache | None = None
+                        ) -> tuple[bgs.CounterexampleResult, int]:
+    """Run the counterexample search on the embedded index, with the budget
+    defaulting to one past the oracle's prediction; return the search
+    result and the prediction z_pred."""
     z_pred = predicted_least_counterexample(record.k)
     if budget is None:
         budget = z_pred + 1
@@ -237,11 +217,7 @@ def verify_crucial_step(record: EmbeddingRecord, budget: int | None = None,
     if not result.found and budget <= z_pred:
         raise BudgetTooSmallError(
             f"budget {budget} exhausted before the predicted witness {z_pred}")
-    passed = (result.found and result.z is not None
-              and result.z >= record.k + 1 and result.z == z_pred)
-    return CrucialStepRow(k=record.k, m=record.m, b_m=record.b_m, n=record.n,
-                          status=result.status.value, z=result.z,
-                          z_pred=z_pred, passed=passed)
+    return result, z_pred
 
 
 def star_counterexample(record: EmbeddingRecord, budget: int,
@@ -270,22 +246,18 @@ def lemma_check(ks, budget: int | None = None, window: int = 200,
                 cache: bgs.ResultCache | None = None,
                 k_max: int = DEFAULT_K_MAX) -> list[LemmaCheckRow]:
     """Full pipeline per cutoff: build, embed, no-interrupt scan, crucial
-    step against the oracle, and the restriction identity."""
+    step against the oracle (z == z_pred >= k + 1), and the restriction
+    identity."""
     rows = []
     for k in ks:
         record = embed(build_qt(k, k_max=k_max))
         ni = verify_no_interrupt(record, window)
-        crucial = verify_crucial_step(record, budget, cache)
-        star = star_counterexample(record, budget if budget is not None
-                                   else crucial.z_pred + 1, cache)
+        crucial, z_pred = verify_crucial_step(record, budget, cache)
+        star = star_counterexample(record, crucial.budget, cache)
         equal = star.found and star.z == crucial.z
         rows.append(LemmaCheckRow(k=k, m=record.m, b_m=record.b_m, n=record.n,
-                                  status=crucial.status, z=crucial.z,
-                                  z_pred=crucial.z_pred, no_interrupt=ni.ok,
+                                  status=crucial.status.value, z=crucial.z,
+                                  z_pred=z_pred, no_interrupt=ni.ok,
                                   restriction_equal=equal,
-                                  passed=crucial.passed and ni.ok and equal))
+                                  passed=crucial.z == z_pred >= k + 1 and ni.ok and equal))
     return rows
-
-
-# the restriction identity is one of lemma_check's per-cutoff checks
-restriction_table = lemma_check

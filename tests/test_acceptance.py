@@ -148,7 +148,7 @@ def test_criterion_6_no_interruption():
 
 def test_criterion_7_restriction_identity():
     with criterion("7 restriction-identity", 600):
-        rows = qt.restriction_table(range(7))
+        rows = qt.lemma_check(range(7))
         assert len(rows) == 7
         for row in rows:
             assert row.status == "found"

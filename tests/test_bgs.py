@@ -138,22 +138,22 @@ def test_counterexample_is_deterministic():
 
 
 def test_scan_empty_range_is_empty():
-    assert bgs.pnp_scan([], 100) == []
+    assert [bgs.counterexample(ix, 100) for ix in []] == []
 
 
 def test_scan_reports_per_index():
     indices = [index_for(ERASER, a=1, b=b) for b in (1, 2, 3)]
-    rows = bgs.pnp_scan(indices, 120)
-    assert [r.z for _, r in rows] == [93, 93, 93]
-    assert all(r.found for _, r in rows)
+    rows = [bgs.counterexample(ix, 120) for ix in indices]
+    assert [r.z for r in rows] == [93, 93, 93]
+    assert all(r.found for r in rows)
 
 
 def test_null_machine_indices_found_at_the_constant_zero_witness():
     # every index below 20 decodes to the transitionless machine; its echoed
     # output never has the exact assignment width at the least failing pair
     indices = [bgs.BgsIndex.from_natural(n) for n in range(10, 20)]
-    rows = bgs.pnp_scan(indices, 120)
-    assert [r.z for _, r in rows] == [93] * 10
+    rows = [bgs.counterexample(ix, 120) for ix in indices]
+    assert [r.z for r in rows] == [93] * 10
 
 
 def least_failure_double_loop(index, x_cap=150, budget=300):
@@ -259,6 +259,25 @@ def test_corrupt_cache_is_ignored_with_warning(tmp_path, caplog):
     cache = bgs.ResultCache.load(path)
     assert cache.lookup(0, 10) is None
     assert any("corrupt" in rec.message for rec in caplog.records)
+
+
+def test_crash_mid_save_keeps_previous_cache(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    cache = bgs.ResultCache()
+    ix = index_for(ERASER)
+    first = bgs.counterexample(ix, 200, cache)
+    cache.save(path)
+
+    def crash(data, fh, **kw):
+        fh.write('{"codec_version": ')
+        raise OSError("disk full")
+
+    bgs.counterexample(index_for(ERASER, b=3), 200, cache)
+    monkeypatch.setattr(bgs.json, "dump", crash)
+    with pytest.raises(OSError):
+        cache.save(path)
+    assert bgs.ResultCache.load(path).lookup(ix.n, 200) == first
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
 def test_cold_and_warm_results_are_identical(tmp_path):

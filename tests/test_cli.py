@@ -87,9 +87,14 @@ def test_trace_goes_to_stderr(capsys, tmp_path):
 
 # --- exit codes --------------------------------------------------------------
 
-def test_usage_error_exits_two():
+@pytest.mark.parametrize("argv", [
+    ["bgs", "counterexample", "--index"],
+    ["run", "--machine", "m.tm", "--input", "0", "--clock", "0,1"],
+    ["run", "--machine", "m.tm", "--input", "0", "--clock", "abc"],
+])
+def test_usage_error_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["bgs", "counterexample", "--index"])
+        cli.main(argv)
     assert exc.value.code == 2
 
 
@@ -116,6 +121,12 @@ def test_dimacs_clause_count_mismatch_exits_two(capsys, tmp_path):
 def test_missing_machine_file_exits_two(capsys):
     rc, _, err = run_cli(capsys, ["run", "--machine", "/nonexistent.tm", "--input", "0"])
     assert rc == 2
+
+
+def test_cutoff_range_is_bounded_before_expansion(capsys):
+    rc, out, err = run_cli(capsys, ["qt", "verify", "--cutoffs", f"0..{10**30}"])
+    assert rc == 2 and out == ""
+    assert err == f"bgslab: cutoff {10**30} exceeds the limit 32\n"
 
 
 def test_budget_too_small_exits_one(capsys):

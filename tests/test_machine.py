@@ -160,6 +160,8 @@ def test_zero_decodes_to_null_machine():
 
 
 def test_null_machine_roundtrip():
+    # every unparsable number decodes to NULL_MACHINE, so pin the number too
+    assert encode_machine(NULL_MACHINE) == 0
     assert decode_machine(encode_machine(NULL_MACHINE)) == NULL_MACHINE
 
 

@@ -24,10 +24,10 @@ def records(machines):
 # --- compiler ----------------------------------------------------------------
 
 def test_cutoff_spec_agrees_with_decider():
-    spec = qt.CutoffSpec.compute(12)
-    assert len(spec.answers) == 13
+    witnesses = qt.build_qt(12).witnesses
+    assert len(witnesses) == 13
     for x in range(13):
-        assert spec.answers[x] == sat.decider(x).witness
+        assert witnesses[x] == sat.decider(x).witness
 
 
 def test_cutoff_zero_is_behaviorally_constant_zero(machines):
@@ -168,7 +168,7 @@ def least_counterexample_reference(k: int) -> int:
 
 
 def test_oracle_matches_literal_reference():
-    for k in [*range(65), 100, 200]:
+    for k in [*range(65), 100, 200, 1000]:
         assert qt.predicted_least_counterexample(k) == least_counterexample_reference(k), k
 
 
@@ -183,11 +183,11 @@ def test_oracle_prediction_exceeds_cutoff():
 
 def test_crucial_step_rows_pass(records):
     for k in KS:
-        row = qt.verify_crucial_step(records[k])
-        assert row.passed
-        assert row.status == "found"
-        assert row.z == row.z_pred == 93
-        assert row.z >= k + 1
+        result, z_pred = qt.verify_crucial_step(records[k])
+        assert result.found
+        assert result.budget == z_pred + 1  # the default budget
+        assert result.z == z_pred == 93
+        assert result.z >= k + 1
 
 
 def test_crucial_step_budget_too_small(records):
@@ -196,18 +196,19 @@ def test_crucial_step_budget_too_small(records):
 
 
 def test_crucial_step_explicit_budget(records):
-    row = qt.verify_crucial_step(records[2], budget=500)
-    assert row.passed and row.z == 93
+    result, z_pred = qt.verify_crucial_step(records[2], budget=500)
+    assert result.found and result.budget == 500
+    assert result.z == z_pred == 93
 
 
 # --- restriction identity --------------------------------------------------------
 
 def test_restriction_table_empty():
-    assert qt.restriction_table([]) == []
+    assert qt.lemma_check([]) == []
 
 
 def test_restriction_table_rows_agree(records):
-    rows = qt.restriction_table(range(7))
+    rows = qt.lemma_check(range(7))
     assert len(rows) == 7
     for row in rows:
         assert row.passed
@@ -216,7 +217,7 @@ def test_restriction_table_rows_agree(records):
 
 
 def test_restriction_z_matches_oracle_pointwise():
-    rows = qt.restriction_table(range(5))
+    rows = qt.lemma_check(range(5))
     predictions = [qt.predicted_least_counterexample(k) for k in range(5)]
     assert [row.z for row in rows] == predictions
     # strictness in k is not assumed: these cutoffs share one prediction
@@ -252,10 +253,10 @@ def test_cutoff_32_writes_both_witness_shapes_and_passes():
     assert run(q.table, 11, 10_000).output == 2
     assert run(q.table, 29, 10_000).output == 1
     record = qt.embed(q)
-    row = qt.verify_crucial_step(record)
-    assert row.passed
-    assert row.z == 2560  # pair(67, 4): the least satisfiable code beyond 32
-    assert pair(*codec.unpair(row.z)) == row.z and codec.unpair(row.z) == (67, 4)
+    result, z_pred = qt.verify_crucial_step(record)
+    assert result.found
+    assert result.z == z_pred == 2560  # pair(67, 4): the least satisfiable code beyond 32
+    assert pair(*codec.unpair(result.z)) == result.z and codec.unpair(result.z) == (67, 4)
     assert qt.verify_no_interrupt(record, 300).ok
     # while it plays the decider's role the scan finds nothing: a budget
     # ending exactly at the predicted witness exhausts
