@@ -5,23 +5,44 @@ An index n names the machine-clock pair (decode_machine(m), C_(a,b)) with
 (m, a, b) = triple_decode(n).  Decoded zeros for a or b are lifted to 1 so
 that every natural is a legal index and the set stays total.
 
-The counterexample search scans z = 0, 1, 2, ... in order and reports the
-first z whose pair (x, y) = unpair(z) witnesses satisfiability while the
-indexed machine's output on x does not; an exhausted budget is a value,
-not an error, because totality of the search beyond any finite budget is
-exactly the open question this laboratory probes.
+The least counterexample of an index is the least z = (x, y) = unpair(z)
+whose y satisfies x while the indexed machine's output on x does not; an
+exhausted budget is a value, not an error, because totality of the search
+beyond any finite budget is exactly the open question this laboratory
+probes.
+
+The search does not visit every z.  It walks one witness table: the
+entries (pair(x, T(x).witness), x) over every satisfiable formula code x,
+in increasing z, where T is the truth-table decider.  Its first entry
+whose machine output fails V is the least counterexample, because
+
+* whether a pair (x, y) fails depends only on x,
+* T returns the least witness V accepts for x, and
+* pair is increasing in y,
+
+so among the failing pairs with first part x the least is the table's
+entry for x.  The table is a memo of a pure function, shared by every
+index and every budget in the process and grown only as far as a search
+needs: a formula code is decided only once a lower bound of its entry,
+pair(x, 2^w - 1) with w its variable count, falls below the search's
+budget and below its answer.  Its memory is O(sqrt(z)) in the largest z
+any search reached, since pair(x, 0) = x(x + 1)/2 bounds the codes x
+touched, and does not grow with the number of indices searched.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import heapq
 import json
 import logging
 import os
+import threading
 from dataclasses import dataclass
 
 from . import sat
-from .codec import CODEC_VERSION, triple_decode, unpair
+from .codec import CODEC_VERSION, decode_cnf, pair, triple_decode, unpair
 from .machine import (
     MACHINE_ENCODING_VERSION,
     ClockSpec,
@@ -81,7 +102,7 @@ class CounterexampleStatus(enum.Enum):
 class CounterexampleResult:
     status: CounterexampleStatus
     z: int | None  # least witness when found
-    scanned: int  # number of z values examined
+    scanned: int  # z + 1 when found, else the budget: the z range settled
     budget: int
 
     @property
@@ -89,23 +110,80 @@ class CounterexampleResult:
         return self.status is CounterexampleStatus.FOUND
 
 
-def _scan(table: TransitionTable, clock: ClockSpec, start: int, budget: int) -> int | None:
-    outputs: dict[int, int] = {}  # memo: the machine's output per formula code
-    for z in range(start, budget):
-        if sat.verifier(z) != 1:
-            continue
-        x, _ = unpair(z)
-        out = outputs.get(x)
-        if out is None:
-            out = outputs[x] = run_clocked(table, clock, x).output
-        if sat.verify_pair(x, out) == 0:
-            return z
-    return None
+class _WitnessTable:
+    """The entries (z, x) = (pair(x, T(x).witness), x) over satisfiable x,
+    in increasing z, grown on demand.
+
+    Formula codes wait in a heap keyed by a lower bound of their entry,
+    pair(x, 2^w - 1) (the least width-w assignment), until popped; a popped
+    bound is decided and, when x is satisfiable, comes back keyed by its
+    exact z, and a popped exact z is the next entry.  Codes enter the heap in increasing x while
+    pair(x, 0), a lower bound for every code not yet in it, is below the
+    top.  So every entry is final when appended, and no code is decided
+    unless its bound is below the limit a caller asked for.
+    """
+
+    def __init__(self):
+        self.zs: list[int] = []
+        self.xs: list[int] = []
+        self._pending: list[tuple[int, int, bool]] = []  # (key, x, key is exact)
+        self._next_x = 0
+        self._lock = threading.Lock()
+
+    def _grow(self, limit: int) -> bool:
+        """Append the next entry if its z is below limit; report whether it was."""
+        with self._lock:
+            pending = self._pending
+            while True:
+                while not pending or pair(self._next_x, 0) < pending[0][0]:
+                    x = self._next_x
+                    self._next_x += 1
+                    formula = decode_cnf(x)
+                    if formula is not None:  # invalid codes are unsatisfiable
+                        heapq.heappush(pending, (pair(x, 2 ** formula.var_count - 1), x, False))
+                key, x, exact = pending[0]
+                if key >= limit:
+                    return False
+                heapq.heappop(pending)
+                if exact:
+                    self.zs.append(key)
+                    self.xs.append(x)
+                    return True
+                decided = sat.decider(x)
+                if decided.satisfiable:
+                    heapq.heappush(pending, (pair(x, decided.witness), x, True))
+
+    def walk(self, start: int, limit: int):
+        """Yield the entries (z, x) with start <= z < limit, in z order."""
+        i = bisect.bisect_left(self.zs, start)
+        while i < len(self.zs) or self._grow(limit):
+            z = self.zs[i]
+            if z >= limit:
+                return
+            if z >= start:
+                yield z, self.xs[i]
+            i += 1
+
+
+_TABLE = _WitnessTable()
 
 
 def counterexample(index: BgsIndex, budget: int,
                    cache: "ResultCache | None" = None) -> CounterexampleResult:
     """Budgeted mu-search for the least failing pair z of the indexed machine.
+
+    Walks the shared witness table (see the module docstring) from its
+    first entry, running the machine once per entry, and returns the first
+    entry below the budget whose output fails V.  This equals the literal
+    search over z = 0, 1, ..., budget - 1, field for field: `scanned` is
+    z + 1 when found, else the budget, the range of z settled.
+
+    With a cache, a stored answer is returned as is, and an exhausted
+    bound U resumes the walk at the first entry with z >= U.  That is
+    sound only because exhaustion below U certifies that no entry below U
+    fails: from an arbitrary start, a failing x whose entry lies below the
+    start could still fail with a larger witness above it, which the walk
+    would not see.
 
     Deterministic: the reported result is identical whether computed fresh
     or reconstructed from a cache of earlier scans.
@@ -118,9 +196,11 @@ def counterexample(index: BgsIndex, budget: int,
         if hit is not None:
             return hit
         start = cache.resume_from(index.n)
-    z = _scan(index.table(), index.clock, start, budget)
-    if z is not None:
-        result = CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
+    table, clock = index.table(), index.clock
+    for z, x in _TABLE.walk(start, budget):
+        if sat.verify_pair(x, run_clocked(table, clock, x).output) == 0:
+            result = CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
+            break
     else:
         result = CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
     if cache is not None:

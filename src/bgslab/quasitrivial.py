@@ -220,12 +220,14 @@ def verify_crucial_step(record: EmbeddingRecord, budget: int | None = None,
     return result, z_pred
 
 
-def star_counterexample(record: EmbeddingRecord, budget: int,
-                        cache: bgs.ResultCache | None = None) -> bgs.CounterexampleResult:
+def star_counterexample(record: EmbeddingRecord, budget: int) -> bgs.CounterexampleResult:
     """The counterexample value of a cutoff machine itself, defined through
-    its embedding: build the index from parts rather than by decoding."""
+    its embedding: build the index from parts rather than by decoding.
+
+    Never cached: a cache entry for record.n would answer this search with
+    the index-side value it is meant to check."""
     index = bgs.BgsIndex(n=record.n, m=record.m, a=2, b=record.b_m)
-    return bgs.counterexample(index, budget, cache)
+    return bgs.counterexample(index, budget)
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def lemma_check(ks, budget: int | None = None, window: int = 200,
         record = embed(build_qt(k, k_max=k_max))
         ni = verify_no_interrupt(record, window)
         crucial, z_pred = verify_crucial_step(record, budget, cache)
-        star = star_counterexample(record, crucial.budget, cache)
+        star = star_counterexample(record, crucial.budget)
         equal = star.found and star.z == crucial.z
         rows.append(LemmaCheckRow(k=k, m=record.m, b_m=record.b_m, n=record.n,
                                   status=crucial.status.value, z=crucial.z,

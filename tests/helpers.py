@@ -2,7 +2,11 @@
 
 import random
 
-from bgslab.machine import BLANK, HALT, MOVE_L, MOVE_R, Transition, TransitionTable
+from bgslab import sat
+from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus
+from bgslab.codec import unpair
+from bgslab.machine import (BLANK, HALT, MOVE_L, MOVE_R, Transition, TransitionTable,
+                            run_clocked)
 
 # scans right erasing the input block, halts at the first blank: output 0
 ERASER = TransitionTable(1, {
@@ -53,3 +57,17 @@ def random_table(rng: random.Random, max_states: int = 4) -> TransitionTable:
                 transitions[(q, sym)] = Transition(
                     nxt, rng.choice((0, 1, BLANK)), rng.choice((MOVE_L, MOVE_R)))
     return TransitionTable(states, transitions)
+
+
+def reference_counterexample(index: BgsIndex, budget: int) -> CounterexampleResult:
+    """The literal z-order mu-search that `bgs.counterexample` replaces: the
+    least z < budget that V accepts while the machine's output on x fails,
+    where (x, y) = unpair(z).  No memo, no table, no cache."""
+    table, clock = index.table(), index.clock
+    for z in range(budget):
+        if sat.verifier(z) != 1:
+            continue
+        x, _ = unpair(z)
+        if sat.verify_pair(x, run_clocked(table, clock, x).output) == 0:
+            return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
+    return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)

@@ -1,15 +1,22 @@
 """Index semantics, guess predicates, mu-search, and the result cache."""
 
+import functools
 import itertools
 import json
+import random
+import tempfile
+from math import isqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bgslab import bgs, codec
+from bgslab import bgs, codec, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_encode, unpair
 from bgslab.machine import ClockSpec, encode_machine
 
-from helpers import ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN
+from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN,
+                     random_table, reference_counterexample)
 
 
 def index_for(table, a=1, b=2) -> bgs.BgsIndex:
@@ -201,6 +208,72 @@ def test_five_machines_agree_with_double_loop_oracle():
         assert found_z == expected, name
 
 
+# --- the table walk against the literal search --------------------------------
+
+@functools.lru_cache(maxsize=None)
+def embedded(k: int) -> bgs.BgsIndex:
+    """The cutoff-k machine at its index; its answer lies beyond k (k = 32: 2560)."""
+    return bgs.BgsIndex.from_natural(qt.embed(qt.build_qt(k, k_max=40)).n)
+
+
+def random_index(seed: int, a: int, b: int) -> bgs.BgsIndex:
+    return index_for(random_table(random.Random(seed)), a, b)
+
+
+random_indices = st.builds(random_index, st.integers(0, 2 ** 32 - 1),
+                           st.integers(1, 3), st.integers(1, 40))
+budgets = st.one_of(st.sampled_from([1, 93, 94, 466, 467, 2560, 2561]),
+                    st.integers(1, 4000))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(random_indices, budgets)
+def test_counterexample_equals_literal_search_on_random_tables(ix, budget):
+    assert bgs.counterexample(ix, budget) == reference_counterexample(ix, budget)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 40), budgets)
+def test_counterexample_equals_literal_search_on_cutoff_machines(k, budget):
+    ix = embedded(k)
+    assert bgs.counterexample(ix, budget) == reference_counterexample(ix, budget)
+
+
+def test_witness_table_lists_every_satisfiable_code_in_z_order():
+    # x = 704 comes before x = 715 in code order but after it in z order
+    limit = 260_000
+    expected = []
+    for x in range(isqrt(2 * limit) + 1):  # pair(x, 0) = x(x + 1)/2 < limit
+        decided = sat.decider(x)
+        if decided.satisfiable and pair(x, decided.witness) < limit:
+            expected.append((pair(x, decided.witness), x))
+    assert list(bgs._WitnessTable().walk(0, limit)) == sorted(expected)
+
+
+def test_search_decides_only_formulas_below_its_answer(monkeypatch):
+    decided = []
+    decider = sat.decider
+
+    def counting(x):
+        decided.append(x)
+        return decider(x)
+
+    monkeypatch.setattr(sat, "decider", counting)
+    monkeypatch.setattr(bgs, "_TABLE", bgs._WitnessTable())
+    result = bgs.counterexample(bgs.BgsIndex.from_natural(17), 10 ** 12)
+    assert result.found and result.z == 93
+    # the valid codes whose entries could lie below 93, and nothing beyond
+    assert decided == [0, 1, 3, 10, 11]
+    # the table is shared: another index and budget decide nothing new
+    decided.clear()
+    assert bgs.counterexample(index_for(ERASER), 200).z == 93
+    assert decided == []
+
+    monkeypatch.setattr(bgs, "_TABLE", bgs._WitnessTable())
+    assert not bgs.counterexample(bgs.BgsIndex.from_natural(17), 1).found
+    assert decided == [0]
+
+
 # --- cache -------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path):
@@ -289,3 +362,21 @@ def test_cold_and_warm_results_are_identical(tmp_path):
     cache.save(path)
     warm = bgs.counterexample(ix, 200, bgs.ResultCache.load(path))
     assert cold == warm
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.one_of(random_indices, st.integers(0, 40).map(embedded)),
+       st.lists(budgets, min_size=1, max_size=6),
+       st.sampled_from(["up", "down", "drawn"]),
+       st.integers(0, 5))
+def test_warm_cache_equals_cold_over_budget_sequences(ix, budget_list, order, save_after):
+    if order != "drawn":
+        budget_list = sorted(budget_list, reverse=order == "down")
+    cache = bgs.ResultCache()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.json"
+        for i, budget in enumerate(budget_list):
+            assert bgs.counterexample(ix, budget, cache) == bgs.counterexample(ix, budget)
+            if i == save_after:
+                cache.save(path)
+                cache = bgs.ResultCache.load(path)

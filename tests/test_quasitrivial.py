@@ -230,6 +230,18 @@ def test_star_side_equals_index_side(records):
     assert star == direct
 
 
+def test_restriction_check_ignores_a_wrong_cached_answer(records):
+    # a wrong FOUND entry answers the index side; the machine side must not
+    # read it back, or the restriction identity could never fail
+    record = records[5]
+    cache = bgs.ResultCache()
+    cache.record(record.n, bgs.CounterexampleResult(
+        bgs.CounterexampleStatus.FOUND, 92, 93, 94))
+    (row,) = qt.lemma_check([5], cache=cache)
+    assert row.z == 92 and row.z_pred == 93
+    assert not row.restriction_equal and not row.passed
+
+
 def test_clock_offset_increase_preserves_found_value(machines, records):
     # a larger offset can only loosen a clock that never fired
     record = records[2]
