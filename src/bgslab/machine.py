@@ -22,6 +22,9 @@ numbers decode to the machine with no transitions at all).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from math import log2
 from typing import Callable, Mapping
 
 from .codec import from_dyadic, to_dyadic
@@ -33,6 +36,10 @@ SYMBOLS = (0, 1, BLANK)
 MOVE_L = "L"
 MOVE_R = "R"
 HALT = -1  # next-state sentinel
+
+# A clock bound at or above this many steps is never reached by a run that
+# ends, so run_clocked passes no limit rather than computing it.
+_UNREACHABLE_STEPS = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,10 @@ def _read_output(tape: list[int]) -> int:
     return from_dyadic("".join(block))
 
 
-def _simulate(table: TransitionTable, input_value: int, limit: int,
+def _simulate(table: TransitionTable, input_value: int, limit: int | None,
               on_step: StepObserver | None = None) -> tuple[bool, int, list[int]]:
-    """Run up to `limit` applied steps; returns (halted, steps, tape).
+    """Run up to `limit` applied steps (no limit when None); returns
+    (halted, steps, tape).
 
     `halted` is true when the machine can make no further move, including
     the case where that happens at exactly `limit` steps.
@@ -152,13 +160,22 @@ def run(table: TransitionTable, input_value: int, max_steps: int,
 
 def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
                 on_step: StepObserver | None = None) -> RunResult:
-    """Execution under a polynomial clock; always terminates.
+    """Execution under a polynomial clock.
 
     If the machine cannot halt within bound(x) applied steps the result is
     interrupted with output 0 and steps equal to the bound.  Halting at
     exactly the bound counts as a normal halt.
+
+    A bound of 2^64 steps or more is never computed (|x|^a >= 2^a once
+    |x| >= 2) and the run gets no limit: a machine that halts does so long
+    before such a bound, so its result is the same, but a machine that
+    loops under such a clock runs without end.
     """
-    bound = clock.bound(input_value)
+    bound = None
+    if clock.a < 64 or len(to_dyadic(input_value)) < 2:
+        bound = clock.bound(input_value)
+        if bound >= _UNREACHABLE_STEPS:
+            bound = None
     halted, steps, tape = _simulate(table, input_value, bound, on_step)
     if halted:
         return RunResult(output=_read_output(tape), steps=steps)
@@ -178,16 +195,50 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # not a multiple of 5, a field out of range, or a duplicate (q, s) key)
 # decode to NULL_MACHINE, so decoding is total on the naturals and every
 # table has a preimage.
+#
+# The bijective string of n has the length L with
+# (3^L - 1)/2 <= n < (3^(L+1) - 1)/2, and is n - (3^L - 1)/2 written as
+# exactly L plain base-3 digits (encode_machine is the inverse).  Those
+# digits come by divide and conquer: split off the low half of the digits with one divmod by 3^h, recurse on both
+# halves and finish 6-digit leaves from a table, so the per-digit work is
+# done by C big-integer division instead of one interpreted divmod per
+# digit.  Division is still schoolbook in CPython, so the conversion stays
+# quadratic in limb operations.  decode_machine keeps its last result in a
+# one-entry memo: the cutoff pipeline decodes the same m for the
+# no-interrupt check and for both counterexample searches.
 
 _TRITS = "012"
+_LEAF_WIDTH = 6
+_LEAVES = tuple("".join(t) for t in product(_TRITS, repeat=_LEAF_WIDTH))
+
+
+def _plain_trits(r: int, width: int, out: list[str], powers: dict[int, int]) -> None:
+    """Append r (0 <= r < 3^width) to out as exactly `width` base-3 digits."""
+    if width <= _LEAF_WIDTH:
+        out.append(_LEAVES[r][_LEAF_WIDTH - width:])
+        return
+    h = width // 2
+    if h not in powers:
+        powers[h] = 3 ** h
+    high, low = divmod(r, powers[h])
+    _plain_trits(high, width - h, out, powers)
+    _plain_trits(low, h, out, powers)
 
 
 def _to_trits(n: int) -> str:
-    digits = []
-    while n > 0:
-        n, r = divmod(n - 1, 3)
-        digits.append(_TRITS[r])
-    return "".join(reversed(digits))
+    """The bijective base-3 digit string of n, in digits 0, 1, 2."""
+    t = 2 * n + 1  # 3^L <= t < 3^(L+1)
+    length = int((t.bit_length() - 1) / log2(3))
+    power = 3 ** length
+    while power > t:
+        power //= 3
+        length -= 1
+    while 3 * power <= t:
+        power *= 3
+        length += 1
+    out: list[str] = []
+    _plain_trits(n - (power - 1) // 2, length, out, {})
+    return "".join(out)
 
 
 def encode_machine(table: TransitionTable) -> int:
@@ -202,7 +253,10 @@ def encode_machine(table: TransitionTable) -> int:
     return int(digits or "0", 3) + (3 ** len(digits) - 1) // 2
 
 
+@lru_cache(maxsize=1)
 def decode_machine(m: int) -> TransitionTable:
+    """Total decoder: every natural is a machine.  The result is shared by
+    repeated calls with the same m and must not be modified."""
     digits = _to_trits(m)
     if not digits:
         flat: list[int] = []

@@ -59,6 +59,16 @@ def random_table(rng: random.Random, max_states: int = 4) -> TransitionTable:
     return TransitionTable(states, transitions)
 
 
+def reference_to_trits(n: int) -> str:
+    """The literal bijective base-3 digit loop that `machine._to_trits`
+    replaces for large numbers: one divmod per digit, digits 0, 1, 2."""
+    digits = []
+    while n > 0:
+        n, r = divmod(n - 1, 3)
+        digits.append("012"[r])
+    return "".join(reversed(digits))
+
+
 def reference_counterexample(index: BgsIndex, budget: int) -> CounterexampleResult:
     """The literal z-order mu-search that `bgs.counterexample` replaces: the
     least z < budget that V accepts while the machine's output on x fails,

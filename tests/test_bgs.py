@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from bgslab import bgs, codec, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_encode, unpair
-from bgslab.machine import ClockSpec, encode_machine
+from bgslab.machine import NULL_MACHINE, ClockSpec, decode_machine, encode_machine
 
 from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN,
                      random_table, reference_counterexample)
@@ -86,6 +86,15 @@ def test_looper_interrupted_at_quadratic_bound():
     ix = index_for(LOOPER, a=2, b=1)
     result = bgs.bgs_run(ix, 3)  # |"00"| = 2, bound 2^2 + 1 = 5
     assert result.interrupted and result.steps == 5 and result.output == 0
+
+
+def test_huge_clock_index_is_searched_without_building_its_bound():
+    # index 10**44 - 1 has a = 98157718497: |x|^a would be a ~12 GB integer.
+    # Its machine halts in 0 steps, so a small clock gives the same answer.
+    ix = bgs.BgsIndex.from_natural(10 ** 44 - 1)
+    assert ix.a == 98157718497 and decode_machine(ix.m) == NULL_MACHINE
+    small = bgs.BgsIndex(n=ix.n, m=ix.m, a=1, b=1)
+    assert bgs.counterexample(ix, 1000) == reference_counterexample(small, 1000)
 
 
 def test_g_star_on_empty_formula():

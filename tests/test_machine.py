@@ -3,9 +3,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bgslab import codec
+from bgslab import codec, machine
 from bgslab.machine import (
     BLANK,
     HALT,
@@ -14,6 +14,7 @@ from bgslab.machine import (
     ClockSpec,
     MachineFormatError,
     NULL_MACHINE,
+    RunResult,
     Transition,
     TransitionTable,
     decode_machine,
@@ -24,7 +25,7 @@ from bgslab.machine import (
     run_clocked,
 )
 
-from helpers import ERASER, LOOPER, SCANNER, random_table
+from helpers import ERASER, LOOPER, SCANNER, random_table, reference_to_trits
 
 
 # --- raw execution -----------------------------------------------------------
@@ -153,6 +154,22 @@ def test_runs_are_deterministic(x, a):
     assert run(LOOPER, x, 50) == run(LOOPER, x, 50)
 
 
+@pytest.mark.parametrize("clock", [
+    ClockSpec(98157718497, 1),  # the clock of index 10**44 - 1: |x|^a has ~10^11 bits
+    # length 2 gives 2^63 + 1 < 2^64, a bound that is built; lengths 3 and 7
+    # give 3^63 and 7^63 >= 2^64, so no limit is passed
+    ClockSpec(63, 1),
+    ClockSpec(1, 2 ** 100),
+], ids=["a-huge", "a-63", "b-huge"])
+def test_bounds_past_2_64_are_never_built(clock):
+    # every run that ends is unchanged; building the first bound would take
+    # about 12 GB
+    assert run_clocked(NULL_MACHINE, clock, 3) == RunResult(3, 0)
+    for x in (0, 1, 5, 7, 14, 200):
+        assert run_clocked(SCANNER, clock, x) == run(SCANNER, x, 1000)
+        assert run_clocked(ERASER, clock, x) == run_clocked(ERASER, ClockSpec(1, 1000), x)
+
+
 # --- numbering ---------------------------------------------------------------
 
 def test_zero_decodes_to_null_machine():
@@ -184,6 +201,51 @@ def test_semantic_roundtrip_on_random_tables():
         twin = decode_machine(encode_machine(table))
         for x in range(64):
             assert run(table, x, 400) == run(twin, x, 400)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.integers(0, 100_000), st.integers(0, 2 ** 32))
+@example(100_000, 0)
+def test_to_trits_equals_digit_loop_on_large_numbers(bits, seed):
+    n = random.Random(seed).getrandbits(bits)
+    assert machine._to_trits(n) == reference_to_trits(n)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 4000), st.sampled_from((-1, 0, 1)))
+def test_to_trits_equals_digit_loop_at_length_boundaries(length, offset):
+    # (3^L - 1)/2 is the least number with an L-digit string
+    n = (3 ** length - 1) // 2 + offset
+    if n >= 0:
+        assert machine._to_trits(n) == reference_to_trits(n)
+
+
+def test_to_trits_equals_digit_loop_on_small_numbers():
+    # every machine the bgs scans meet is below 20 000; short strings end in
+    # one leaf or split once
+    for n in range(20_000):
+        assert machine._to_trits(n) == reference_to_trits(n)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.integers(200, 1000), st.integers(0, 2 ** 32))
+def test_decode_encode_roundtrips_large_tables(states, seed):
+    # 600 to 3000 transitions; state fields of 200 and more take 7 or more
+    # dyadic digits, wider than one 6-digit leaf of the conversion
+    rng = random.Random(seed)
+    table = TransitionTable(states, {
+        (q, sym): Transition(rng.choice([HALT] + list(range(states))),
+                             rng.choice((0, 1, BLANK)), rng.choice((MOVE_L, MOVE_R)))
+        for q in range(states) for sym in (0, 1, BLANK)})
+    assert decode_machine(encode_machine(table)) == table
+
+
+def test_decode_keeps_one_result():
+    # the one-entry memo answers a repeat of the last number and nothing else
+    m = encode_machine(SCANNER)
+    assert decode_machine(m) is decode_machine(m)
+    assert decode_machine(encode_machine(ERASER)) == ERASER
+    assert decode_machine(m) == SCANNER
 
 
 def test_every_handmade_table_has_a_preimage():

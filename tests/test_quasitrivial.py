@@ -2,7 +2,7 @@
 
 import pytest
 
-from bgslab import bgs, codec, quasitrivial as qt, sat
+from bgslab import bgs, codec, machine, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_decode, unpair
 from bgslab.machine import ClockSpec, decode_machine, encode_machine, run, run_clocked
 
@@ -284,3 +284,19 @@ def test_lemma_check_all_green():
     assert all(row.passed and row.no_interrupt and row.restriction_equal
                for row in rows)
     assert [row.k for row in rows] == [0, 1, 2, 3]
+
+
+def test_lemma_check_decodes_the_machine_once(monkeypatch):
+    # the no-interrupt check and both counterexample searches share one decode
+    calls = []
+    to_trits = machine._to_trits
+    monkeypatch.setattr(machine, "_to_trits", lambda n: calls.append(n) or to_trits(n))
+    decode_machine.cache_clear()
+    (row,) = qt.lemma_check([40], k_max=40)
+    assert row.passed
+    assert calls == [row.m]
+
+
+def test_lemma_check_far_above_the_cli_ceiling():
+    (row,) = qt.lemma_check([703], k_max=703)
+    assert row.passed and row.z == row.z_pred == 257405
