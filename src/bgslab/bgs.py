@@ -28,6 +28,16 @@ pair(x, 2^w - 1) with w its variable count, falls below the search's
 budget and below its answer.  Its memory is O(sqrt(z)) in the largest z
 any search reached, since pair(x, 0) = x(x + 1)/2 bounds the codes x
 touched, and does not grow with the number of indices searched.
+
+The machine side is memoized too.  A clock enters a run's outcome only
+through its step limit, and a limit cannot matter to a run that halted
+within it, so each decoded table keeps, in its `outcomes` field, one entry
+per input x it was run on: the step count and the verdict of a run that
+halted, or the largest limit under which it had not halted and the verdict
+on output 0.  Every index with the same table object (every unparsable m
+decodes to NULL_MACHINE) shares those entries; a run that no entry settles
+under the index's limit is simulated and its outcome recorded.  The memo's
+memory is one entry per witness-table entry walked, per live table.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .machine import (
     TransitionTable,
     decode_machine,
     run_clocked,
+    step_limit,
 )
 
 log = logging.getLogger(__name__)
@@ -168,15 +179,43 @@ class _WitnessTable:
 _TABLE = _WitnessTable()
 
 
+def _fails(table: TransitionTable, clock: ClockSpec, x: int) -> bool:
+    """Whether the clocked output of table on x fails V: from the table's
+    outcome memo when its entry settles the run under this clock's limit,
+    else from one run, whose outcome it records.
+
+    An entry is (halted, steps, fails): a run that halted after `steps`
+    steps, or one stopped at the limit `steps`, and its verdict.  Every
+    entry is a true statement about the table, so threads racing on one
+    input can at worst replace an entry by a weaker one."""
+    known = table.outcomes.get(x)
+    if known is not None:
+        halted, steps, fails = known
+        if halted and steps <= clock.b:  # every limit is at least b
+            return fails
+        limit = step_limit(clock, x)
+        if halted and (limit is None or steps <= limit):
+            return fails
+        if not halted and limit is not None and limit <= steps:
+            return fails
+    result = run_clocked(table, clock, x)
+    fails = sat.verify_pair(x, result.output) == 0
+    if result.halted or known is None or not known[0]:  # a halted entry says more
+        table.outcomes[x] = (result.halted, result.steps, fails)
+    return fails
+
+
 def counterexample(index: BgsIndex, budget: int,
                    cache: "ResultCache | None" = None) -> CounterexampleResult:
     """Budgeted mu-search for the least failing pair z of the indexed machine.
 
     Walks the shared witness table (see the module docstring) from its
-    first entry, running the machine once per entry, and returns the first
-    entry below the budget whose output fails V.  This equals the literal
-    search over z = 0, 1, ..., budget - 1, field for field: `scanned` is
-    z + 1 when found, else the budget, the range of z settled.
+    first entry, settling each from the decoded table's outcome memo (one
+    entry per input run, held as long as the table object lives) or else
+    by one clocked run, and returns the first entry below the budget whose
+    output fails V.  This equals the literal search over z = 0, 1, ..., budget - 1,
+    field for field: `scanned` is z + 1 when found, else the budget, the
+    range of z settled.
 
     With a cache, a stored answer is returned as is, and an exhausted
     bound U resumes the walk at the first entry with z >= U.  That is
@@ -198,7 +237,7 @@ def counterexample(index: BgsIndex, budget: int,
         start = cache.resume_from(index.n)
     table, clock = index.table(), index.clock
     for z, x in _TABLE.walk(start, budget):
-        if sat.verify_pair(x, run_clocked(table, clock, x).output) == 0:
+        if _fails(table, clock, x):
             result = CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
             break
     else:
@@ -216,35 +255,53 @@ class ResultCache:
     Entries from files written under different codec or machine-encoding
     versions are discarded, and corrupt files are ignored with a warning,
     so a stale cache can never change an answer.
+
+    Saving merges: when the file changed since this cache last read or
+    wrote it, as told by its (st_ino, st_size, st_mtime_ns), `save` reads
+    it again and keeps the stronger entry per index, so two scans sharing
+    a cache keep each other's entries.  A single writer pays one os.stat.
+    There is no lock: an entry saved by another process between this
+    save's read and its os.replace is lost.
     """
 
     def __init__(self):
         self._found: dict[int, int] = {}
         self._exhausted: dict[int, int] = {}
+        self._signature: tuple[int, int, int] | None = None  # of the file last read or written
 
     @classmethod
     def load(cls, path) -> "ResultCache":
         cache = cls()
+        cache._read(path)
+        return cache
+
+    def _read(self, path) -> None:
+        """Merge the file's entries into this cache and note its signature."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
+                self._signature = _signature(os.fstat(fh.fileno()))
                 data = json.load(fh)
             if (data.get("codec_version") != CODEC_VERSION
                     or data.get("machine_encoding_version") != MACHINE_ENCODING_VERSION):
                 log.warning("cache %s has mismatched versions; starting empty", path)
-                return cache
+                return
             for key, entry in data.get("entries", {}).items():
-                n = int(key)
                 if entry["status"] == "found":
-                    cache._found[n] = int(entry["z"])
+                    self._merge(int(key), int(entry["z"]), 0)
                 else:
-                    cache._exhausted[n] = int(entry["upto"])
+                    self._merge(int(key), None, int(entry["upto"]))
         except FileNotFoundError:
-            pass
+            self._signature = None
         except (OSError, ValueError, KeyError, TypeError) as e:
             log.warning("ignoring corrupt cache %s: %s", path, e)
-        return cache
 
     def save(self, path) -> None:
+        try:
+            current = _signature(os.stat(path))
+        except FileNotFoundError:
+            current = None
+        if current != self._signature:
+            self._read(path)
         entries: dict[str, dict] = {}
         for n, z in sorted(self._found.items()):
             entries[str(n)] = {"status": "found", "z": z}
@@ -262,7 +319,10 @@ class ResultCache:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, indent=2, sort_keys=True)
                 fh.write("\n")
+                fh.flush()
+                written = _signature(os.fstat(fh.fileno()))
             os.replace(tmp, path)
+            self._signature = written
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -283,9 +343,18 @@ class ResultCache:
         return self._exhausted.get(n, 0)
 
     def record(self, n: int, result: CounterexampleResult) -> None:
-        if result.found:
-            assert result.z is not None
-            self._found[n] = result.z
+        self._merge(n, result.z if result.found else None, result.budget)
+
+    def _merge(self, n: int, z: int | None, upto: int) -> None:
+        """Add the least witness z of n, or, when z is None, its exhaustion
+        below upto: a found entry beats an exhausted one, and the larger
+        exhausted bound wins."""
+        if z is not None:
+            self._found[n] = z
             self._exhausted.pop(n, None)
         elif n not in self._found:
-            self._exhausted[n] = max(self._exhausted.get(n, 0), result.budget)
+            self._exhausted[n] = max(self._exhausted.get(n, 0), upto)
+
+
+def _signature(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns

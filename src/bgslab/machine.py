@@ -21,7 +21,7 @@ numbers decode to the machine with no transitions at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import log2
@@ -38,7 +38,7 @@ MOVE_R = "R"
 HALT = -1  # next-state sentinel
 
 # A clock bound at or above this many steps is never reached by a run that
-# ends, so run_clocked passes no limit rather than computing it.
+# ends, so step_limit gives no limit rather than computing it.
 _UNREACHABLE_STEPS = 2 ** 64
 
 
@@ -51,10 +51,17 @@ class Transition:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """A concrete deterministic machine; immutable after construction."""
+    """A concrete deterministic machine; immutable after construction.
+
+    `outcomes` is not part of the machine: it is the memo of clocked-run
+    outcomes that `bgs.counterexample` keeps per input, so that every index
+    sharing this table object runs the machine once per input.
+    """
 
     state_count: int
     transitions: Mapping[tuple[int, int], Transition]
+    outcomes: dict[int, tuple[bool, int, bool]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.state_count < 1:
@@ -158,24 +165,29 @@ def run(table: TransitionTable, input_value: int, max_steps: int,
     return RunResult(output=0, steps=max_steps, fuel_exhausted=True)
 
 
-def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
-                on_step: StepObserver | None = None) -> RunResult:
-    """Execution under a polynomial clock.
-
-    If the machine cannot halt within bound(x) applied steps the result is
-    interrupted with output 0 and steps equal to the bound.  Halting at
-    exactly the bound counts as a normal halt.
+def step_limit(clock: ClockSpec, input_value: int) -> int | None:
+    """The step limit of a clocked run on input_value; None for no limit.
 
     A bound of 2^64 steps or more is never computed (|x|^a >= 2^a once
     |x| >= 2) and the run gets no limit: a machine that halts does so long
     before such a bound, so its result is the same, but a machine that
     loops under such a clock runs without end.
     """
-    bound = None
-    if clock.a < 64 or len(to_dyadic(input_value)) < 2:
-        bound = clock.bound(input_value)
-        if bound >= _UNREACHABLE_STEPS:
-            bound = None
+    if clock.a >= 64 and len(to_dyadic(input_value)) >= 2:
+        return None
+    bound = clock.bound(input_value)
+    return None if bound >= _UNREACHABLE_STEPS else bound
+
+
+def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
+                on_step: StepObserver | None = None) -> RunResult:
+    """Execution under a polynomial clock, limited by `step_limit`.
+
+    If the machine cannot halt within bound(x) applied steps the result is
+    interrupted with output 0 and steps equal to the bound.  Halting at
+    exactly the bound counts as a normal halt.
+    """
+    bound = step_limit(clock, input_value)
     halted, steps, tape = _simulate(table, input_value, bound, on_step)
     if halted:
         return RunResult(output=_read_output(tape), steps=steps)
@@ -195,6 +207,11 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # not a multiple of 5, a field out of range, or a duplicate (q, s) key)
 # decode to NULL_MACHINE, so decoding is total on the naturals and every
 # table has a preimage.
+#
+# The last digit of the bijective string of n > 0 is (n - 1) mod 3, so a
+# string ending in the separator 2 has n divisible by 3: every m with
+# m % 3 != 0 is unparsable, and decode_machine returns NULL_MACHINE for it
+# (and for m = 0, the empty sequence) without converting any digits.
 #
 # The bijective string of n has the length L with
 # (3^L - 1)/2 <= n < (3^(L+1) - 1)/2, and is n - (3^L - 1)/2 written as
@@ -255,16 +272,12 @@ def encode_machine(table: TransitionTable) -> int:
 
 @lru_cache(maxsize=1)
 def decode_machine(m: int) -> TransitionTable:
-    """Total decoder: every natural is a machine.  The result is shared by
-    repeated calls with the same m and must not be modified."""
-    digits = _to_trits(m)
-    if not digits:
-        flat: list[int] = []
-    else:
-        fields = digits.split("2")
-        if fields[-1] != "":
-            return NULL_MACHINE
-        flat = [from_dyadic(f) for f in fields[:-1]]
+    """Total decoder: every natural is a machine, and every unparsable one
+    is the NULL_MACHINE object.  The result is shared by repeated calls
+    with the same m and must not be modified."""
+    if m % 3 != 0 or m == 0:
+        return NULL_MACHINE
+    flat = [from_dyadic(f) for f in _to_trits(m).split("2")[:-1]]
     if len(flat) % 5 != 0:
         return NULL_MACHINE
     transitions: dict[tuple[int, int], Transition] = {}

@@ -4,9 +4,9 @@ import random
 
 from bgslab import sat
 from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus
-from bgslab.codec import unpair
-from bgslab.machine import (BLANK, HALT, MOVE_L, MOVE_R, Transition, TransitionTable,
-                            run_clocked)
+from bgslab.codec import from_dyadic, unpair
+from bgslab.machine import (BLANK, HALT, MOVE_L, MOVE_R, NULL_MACHINE, Transition,
+                            TransitionTable, run_clocked)
 
 # scans right erasing the input block, halts at the first blank: output 0
 ERASER = TransitionTable(1, {
@@ -67,6 +67,32 @@ def reference_to_trits(n: int) -> str:
         n, r = divmod(n - 1, 3)
         digits.append("012"[r])
     return "".join(reversed(digits))
+
+
+def reference_decode_machine(m: int) -> TransitionTable:
+    """The full parse that `machine.decode_machine` shortcuts for m = 0 and
+    m % 3 != 0: split the digit string of m at every separator 2 and read
+    the fields as transitions, on every m.  Returns a fresh table."""
+    digits = reference_to_trits(m)
+    if not digits:
+        flat: list[int] = []
+    else:
+        fields = digits.split("2")
+        if fields[-1] != "":
+            return NULL_MACHINE
+        flat = [from_dyadic(f) for f in fields[:-1]]
+    if len(flat) % 5 != 0:
+        return NULL_MACHINE
+    transitions: dict[tuple[int, int], Transition] = {}
+    max_state = 0
+    for i in range(0, len(flat), 5):
+        q, s, nxt, write, move = flat[i:i + 5]
+        if s > 2 or write > 2 or move > 1 or (q, s) in transitions:
+            return NULL_MACHINE
+        next_state = HALT if nxt == 0 else nxt - 1
+        transitions[(q, s)] = Transition(next_state, write, MOVE_L if move == 0 else MOVE_R)
+        max_state = max(max_state, q, next_state)
+    return TransitionTable(state_count=max_state + 1, transitions=transitions)
 
 
 def reference_counterexample(index: BgsIndex, budget: int) -> CounterexampleResult:

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from bgslab import bgs, codec, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_encode, unpair
-from bgslab.machine import NULL_MACHINE, ClockSpec, decode_machine, encode_machine
+from bgslab.machine import (BLANK, HALT, MOVE_R, NULL_MACHINE, ClockSpec, Transition,
+                            TransitionTable, decode_machine, encode_machine, step_limit)
 
 from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN,
                      random_table, reference_counterexample)
@@ -283,6 +284,96 @@ def test_search_decides_only_formulas_below_its_answer(monkeypatch):
     assert decided == [0]
 
 
+# --- the outcome memo against the literal search -------------------------------
+
+DELAY = 6
+
+# writes 1 at cell 0, erases the rest of the input, then walks DELAY blank
+# cells and halts: output 2 ("1", which satisfies x = 11) after |x| + DELAY
+# steps for x > 0, so clock (1, b) interrupts it, with output 0, exactly
+# when b < DELAY
+LATE_ONE = TransitionTable(DELAY + 2, {
+    (0, 0): Transition(1, 1, MOVE_R),
+    (0, 1): Transition(1, 1, MOVE_R),
+    (0, BLANK): Transition(1, 1, MOVE_R),
+    (1, 0): Transition(1, BLANK, MOVE_R),
+    (1, 1): Transition(1, BLANK, MOVE_R),
+    **{(q, BLANK): Transition(q + 1, BLANK, MOVE_R) for q in range(1, DELAY)},
+    (DELAY, BLANK): Transition(HALT, BLANK, MOVE_R),
+})
+
+
+def shared_table(choice: int | TransitionTable):
+    """The number m and the one table object every index of m shares;
+    an int draws a random table."""
+    if isinstance(choice, int):
+        choice = random_table(random.Random(choice))
+    m = 1 if choice is NULL_MACHINE else encode_machine(choice)  # 1 % 3 != 0
+    return m, decode_machine(m)
+
+
+def search_both(m, table, a, b, budget):
+    ix = bgs.BgsIndex(n=triple_encode(m, a, b), m=m, a=a, b=b)
+    got = bgs.counterexample(ix, budget)
+    assert ix.table() is table  # the memo was shared
+    assert got == reference_counterexample(ix, budget)
+    return got
+
+
+clocks = st.tuples(st.integers(1, 3), st.integers(1, 2 * DELAY))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.one_of(st.sampled_from([LATE_ONE, LOOPER, ERASER, NULL_MACHINE]),
+                 st.integers(0, 2 ** 32 - 1)),
+       st.lists(st.tuples(clocks, budgets), min_size=1, max_size=8))
+def test_memoized_searches_equal_literal_search_over_clock_sequences(choice, searches):
+    m, table = shared_table(choice)
+    for (a, b), budget in searches:
+        search_both(m, table, a, b, budget)
+
+
+@pytest.mark.parametrize("clocks", [[(1, 1), (1, DELAY)], [(1, DELAY), (1, 1)],
+                                    [(1, DELAY - 1), (1, DELAY)],  # halts at the new limit
+                                    [(1, DELAY), (1, DELAY - 1)],
+                                    [(1, 1), (1, 2), (2, 1), (1, 1)]])
+def test_one_input_interrupted_under_one_clock_halts_under_another(clocks):
+    # x = 11, the entry at z = 93: interrupted (output 0) it fails V, halted
+    # (output "1") it does not; both outcomes stay in the memo
+    m, table = shared_table(LATE_ONE)
+    table.outcomes.clear()
+    steps = len(codec.to_dyadic(11)) + DELAY
+    interrupted = []
+    for a, b in clocks:
+        got = search_both(m, table, a, b, 94)
+        interrupted.append(got.found)
+        assert got.found == (step_limit(ClockSpec(a, b), 11) < steps)
+    assert True in interrupted and False in interrupted
+    assert table.outcomes[11] == (True, steps, False)  # the halted entry is kept
+
+
+def test_null_machine_indices_share_their_runs(monkeypatch):
+    calls = {"run": 0, "verify": 0}
+    run_clocked, verify_pair = bgs.run_clocked, sat.verify_pair
+
+    def counting_run(*args):
+        calls["run"] += 1
+        return run_clocked(*args)
+
+    def counting_verify(*args):
+        calls["verify"] += 1
+        return verify_pair(*args)
+
+    indices = (bgs.BgsIndex.from_natural(n) for n in itertools.count(10 ** 5))
+    null = list(itertools.islice((ix for ix in indices if ix.table() is NULL_MACHINE), 2000))
+    assert null[-1].n - null[0].n < 3000  # consecutive but for the parsable m
+    NULL_MACHINE.outcomes.clear()
+    monkeypatch.setattr(bgs, "run_clocked", counting_run)
+    monkeypatch.setattr(sat, "verify_pair", counting_verify)
+    assert all(bgs.counterexample(ix, 10 ** 5).z == 93 for ix in null)
+    assert calls["run"] <= 2 and calls["verify"] <= 2
+
+
 # --- cache -------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path):
@@ -360,6 +451,42 @@ def test_crash_mid_save_keeps_previous_cache(tmp_path, monkeypatch):
         cache.save(path)
     assert bgs.ResultCache.load(path).lookup(ix.n, 200) == first
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_two_caches_sharing_a_file_keep_each_others_entries(tmp_path):
+    path = tmp_path / "cache.json"
+    bgs.ResultCache().save(path)
+    first, second = bgs.ResultCache.load(path), bgs.ResultCache.load(path)
+    one, two = index_for(ERASER), index_for(ERASER, b=3)
+    found = bgs.counterexample(one, 200, first)
+    exhausted = bgs.counterexample(two, 50, second)
+    first.save(path)
+    second.save(path)
+    merged = bgs.ResultCache.load(path)
+    assert merged.lookup(one.n, 200) == found
+    assert merged.lookup(two.n, 50) == exhausted
+    # the stronger entry wins: the larger exhausted bound, then found
+    bgs.counterexample(two, 80, first)
+    bgs.counterexample(two, 200, second)
+    first.save(path)  # merges the file's bound 50 for two into its own 80
+    assert bgs.ResultCache.load(path).lookup(two.n, 80) is not None
+    second.save(path)  # merges that bound 80 into its found entry
+    entries = json.loads(path.read_text())["entries"]
+    assert entries == {str(one.n): {"status": "found", "z": 93},
+                       str(two.n): {"status": "found", "z": 93}}
+
+
+def test_a_single_writer_does_not_read_its_own_file_again(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    cache = bgs.ResultCache.load(path)
+    reads = []
+    read = bgs.ResultCache._read
+    monkeypatch.setattr(bgs.ResultCache, "_read", lambda self, p: reads.append(p) or read(self, p))
+    for b in (1, 2, 3):
+        bgs.counterexample(index_for(ERASER, b=b), 200, cache)
+        cache.save(path)
+    assert reads == []
+    assert len(json.loads(path.read_text())["entries"]) == 3
 
 
 def test_cold_and_warm_results_are_identical(tmp_path):

@@ -25,7 +25,8 @@ from bgslab.machine import (
     run_clocked,
 )
 
-from helpers import ERASER, LOOPER, SCANNER, random_table, reference_to_trits
+from helpers import (ERASER, LOOPER, SCANNER, random_table, reference_decode_machine,
+                     reference_to_trits)
 
 
 # --- raw execution -----------------------------------------------------------
@@ -246,6 +247,34 @@ def test_decode_keeps_one_result():
     assert decode_machine(m) is decode_machine(m)
     assert decode_machine(encode_machine(ERASER)) == ERASER
     assert decode_machine(m) == SCANNER
+
+
+def test_decode_equals_full_parse_on_initial_segment():
+    for m in range(30_000):
+        assert decode_machine(m) == reference_decode_machine(m), m
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 2 ** 32), st.booleans())
+def test_decode_equals_full_parse_on_large_numbers(bits, seed, table):
+    # random numbers are mostly unparsable; encoded tables parse
+    rng = random.Random(seed)
+    m = encode_machine(random_table(rng, 40)) if table else rng.getrandbits(bits)
+    assert decode_machine(m) == reference_decode_machine(m)
+
+
+def test_unparsable_residues_decode_without_converting_digits(monkeypatch):
+    # the last digit of the string of m > 0 is (m - 1) mod 3, and a
+    # parsable string ends in the separator 2
+    def no_conversion(n):
+        raise AssertionError("digits converted")
+
+    m = random.Random(6).getrandbits(10 ** 6) | 1 << (10 ** 6 - 1)
+    m -= (m - 1) % 3  # m % 3 == 1
+    monkeypatch.setattr(machine, "_to_trits", no_conversion)
+    assert decode_machine(m) is NULL_MACHINE
+    assert decode_machine(m + 1) is NULL_MACHINE
+    assert decode_machine(0) is NULL_MACHINE
 
 
 def test_every_handmade_table_has_a_preimage():
