@@ -191,8 +191,6 @@ def _fails(table: TransitionTable, clock: ClockSpec, x: int) -> bool:
     known = table.outcomes.get(x)
     if known is not None:
         halted, steps, fails = known
-        if halted and steps <= clock.b:  # every limit is at least b
-            return fails
         limit = step_limit(clock, x)
         if halted and (limit is None or steps <= limit):
             return fails
@@ -256,18 +254,15 @@ class ResultCache:
     versions are discarded, and corrupt files are ignored with a warning,
     so a stale cache can never change an answer.
 
-    Saving merges: when the file changed since this cache last read or
-    wrote it, as told by its (st_ino, st_size, st_mtime_ns), `save` reads
-    it again and keeps the stronger entry per index, so two scans sharing
-    a cache keep each other's entries.  A single writer pays one os.stat.
-    There is no lock: an entry saved by another process between this
-    save's read and its os.replace is lost.
+    Saving merges: `save` reads the file again and keeps the stronger
+    entry per index, so two scans sharing a cache keep each other's
+    entries.  There is no lock: an entry saved by another process between
+    this save's read and its os.replace is lost.
     """
 
     def __init__(self):
         self._found: dict[int, int] = {}
         self._exhausted: dict[int, int] = {}
-        self._signature: tuple[int, int, int] | None = None  # of the file last read or written
 
     @classmethod
     def load(cls, path) -> "ResultCache":
@@ -276,10 +271,9 @@ class ResultCache:
         return cache
 
     def _read(self, path) -> None:
-        """Merge the file's entries into this cache and note its signature."""
+        """Merge the file's entries into this cache."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                self._signature = _signature(os.fstat(fh.fileno()))
                 data = json.load(fh)
             if (data.get("codec_version") != CODEC_VERSION
                     or data.get("machine_encoding_version") != MACHINE_ENCODING_VERSION):
@@ -291,17 +285,12 @@ class ResultCache:
                 else:
                     self._merge(int(key), None, int(entry["upto"]))
         except FileNotFoundError:
-            self._signature = None
+            pass
         except (OSError, ValueError, KeyError, TypeError) as e:
             log.warning("ignoring corrupt cache %s: %s", path, e)
 
     def save(self, path) -> None:
-        try:
-            current = _signature(os.stat(path))
-        except FileNotFoundError:
-            current = None
-        if current != self._signature:
-            self._read(path)
+        self._read(path)
         entries: dict[str, dict] = {}
         for n, z in sorted(self._found.items()):
             entries[str(n)] = {"status": "found", "z": z}
@@ -319,10 +308,7 @@ class ResultCache:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-                fh.flush()
-                written = _signature(os.fstat(fh.fileno()))
             os.replace(tmp, path)
-            self._signature = written
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -354,7 +340,3 @@ class ResultCache:
             self._exhausted.pop(n, None)
         elif n not in self._found:
             self._exhausted[n] = max(self._exhausted.get(n, 0), upto)
-
-
-def _signature(st: os.stat_result) -> tuple[int, int, int]:
-    return st.st_ino, st.st_size, st.st_mtime_ns

@@ -476,19 +476,6 @@ def test_two_caches_sharing_a_file_keep_each_others_entries(tmp_path):
                        str(two.n): {"status": "found", "z": 93}}
 
 
-def test_a_single_writer_does_not_read_its_own_file_again(tmp_path, monkeypatch):
-    path = tmp_path / "cache.json"
-    cache = bgs.ResultCache.load(path)
-    reads = []
-    read = bgs.ResultCache._read
-    monkeypatch.setattr(bgs.ResultCache, "_read", lambda self, p: reads.append(p) or read(self, p))
-    for b in (1, 2, 3):
-        bgs.counterexample(index_for(ERASER, b=b), 200, cache)
-        cache.save(path)
-    assert reads == []
-    assert len(json.loads(path.read_text())["entries"]) == 3
-
-
 def test_cold_and_warm_results_are_identical(tmp_path):
     path = tmp_path / "cache.json"
     ix = index_for(ERASER)
