@@ -38,6 +38,25 @@ on output 0.  Every index with the same table object (every unparsable m
 decodes to NULL_MACHINE) shares those entries; a run that no entry settles
 under the index's limit is simulated and its outcome recorded.  The memo's
 memory is one entry per witness-table entry walked, per live table.
+
+Each decoded table also keeps, in its `answer` field, the answer of one
+search: its least counterexample z, the largest step count S among the
+entries it walked, and the witness table it walked.  A search records it
+only when its walk started at z = 0, found z, and settled every entry up
+to z as a halted run.  A later index with the same table object, the same
+witness table and clock offset b >= S is answered without a walk, because
+
+* every step limit |x|^a + b is at least b >= S,
+* so each of those entries halts again, after the same steps and with the
+  same output, and
+* the same verdicts make z the least counterexample again,
+
+which is FOUND z when z < budget and EXHAUSTED at the budget otherwise.
+Nothing is recorded by a walk resumed from a cache's exhausted bound (the
+entries below it were not run under its clock), by an exhausted search,
+or by a walk that settled any entry as a stopped run.  A halted run's
+steps and output do not depend on its clock, so two answers from one
+witness table are equal, in z and in S.
 """
 
 from __future__ import annotations
@@ -71,6 +90,12 @@ class BgsIndex:
     m: int
     a: int
     b: int
+
+    def __post_init__(self):
+        # the clock's fields, checked here because a search answered from
+        # its table's memo reads b without building the clock
+        if self.a < 1 or self.b < 1:
+            raise ValueError("clock exponents and offsets must be >= 1")
 
     @classmethod
     def from_natural(cls, n: int) -> "BgsIndex":
@@ -179,10 +204,10 @@ class _WitnessTable:
 _TABLE = _WitnessTable()
 
 
-def _fails(table: TransitionTable, clock: ClockSpec, x: int) -> bool:
-    """Whether the clocked output of table on x fails V: from the table's
-    outcome memo when its entry settles the run under this clock's limit,
-    else from one run, whose outcome it records.
+def _settle(table: TransitionTable, clock: ClockSpec, x: int) -> tuple[bool, int, bool]:
+    """The outcome (halted, steps, fails) that settles the clocked run of
+    table on x: the table's outcome memo entry when it settles the run
+    under this clock's limit, else the outcome of one run, which it records.
 
     An entry is (halted, steps, fails): a run that halted after `steps`
     steps, or one stopped at the limit `steps`, and its verdict.  Every
@@ -190,37 +215,42 @@ def _fails(table: TransitionTable, clock: ClockSpec, x: int) -> bool:
     input can at worst replace an entry by a weaker one."""
     known = table.outcomes.get(x)
     if known is not None:
-        halted, steps, fails = known
+        halted, steps, _ = known
         limit = step_limit(clock, x)
         if halted and (limit is None or steps <= limit):
-            return fails
+            return known
         if not halted and limit is not None and limit <= steps:
-            return fails
+            return known
     result = run_clocked(table, clock, x)
-    fails = sat.verify_pair(x, result.output) == 0
+    outcome = (result.halted, result.steps, sat.verify_pair(x, result.output) == 0)
     if result.halted or known is None or not known[0]:  # a halted entry says more
-        table.outcomes[x] = (result.halted, result.steps, fails)
-    return fails
+        table.outcomes[x] = outcome
+    return outcome
 
 
 def counterexample(index: BgsIndex, budget: int,
                    cache: "ResultCache | None" = None) -> CounterexampleResult:
     """Budgeted mu-search for the least failing pair z of the indexed machine.
 
-    Walks the shared witness table (see the module docstring) from its
-    first entry, settling each from the decoded table's outcome memo (one
-    entry per input run, held as long as the table object lives) or else
-    by one clocked run, and returns the first entry below the budget whose
-    output fails V.  This equals the literal search over z = 0, 1, ..., budget - 1,
-    field for field: `scanned` is z + 1 when found, else the budget, the
-    range of z settled.
+    Answers from the decoded table's answer memo when it holds an answer
+    (z, S) from the current witness table and the index's clock offset is
+    b >= S (see the module docstring): FOUND z when z < budget, else
+    EXHAUSTED at the budget.  Otherwise walks the shared witness table from
+    its first entry, settling each from the table's outcome memo (one entry
+    per input run, held as long as the table object lives) or else by one
+    clocked run, and returns the first entry below the budget whose output
+    fails V; a walk from z = 0 that found z with every entry up to it
+    halted records its answer.  This equals the literal search over
+    z = 0, 1, ..., budget - 1, field for field: `scanned` is z + 1 when
+    found, else the budget, the range of z settled.
 
     With a cache, a stored answer is returned as is, and an exhausted
     bound U resumes the walk at the first entry with z >= U.  That is
     sound only because exhaustion below U certifies that no entry below U
     fails: from an arbitrary start, a failing x whose entry lies below the
     start could still fail with a larger witness above it, which the walk
-    would not see.
+    would not see.  A resumed walk records no answer, because the entries
+    below U were not run under its clock.
 
     Deterministic: the reported result is identical whether computed fresh
     or reconstructed from a cache of earlier scans.
@@ -233,16 +263,43 @@ def counterexample(index: BgsIndex, budget: int,
         if hit is not None:
             return hit
         start = cache.resume_from(index.n)
-    table, clock = index.table(), index.clock
-    for z, x in _TABLE.walk(start, budget):
-        if _fails(table, clock, x):
-            result = CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
-            break
+    table, witnesses = index.table(), _TABLE
+    answer = table.answer
+    if answer is not None and answer[2] is witnesses and index.b >= answer[1]:
+        result = _least_is(answer[0], budget)
     else:
-        result = CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
+        result = _walk(table, index.clock, witnesses, start, budget)
     if cache is not None:
         cache.record(index.n, result)
     return result
+
+
+def _least_is(z: int, budget: int) -> CounterexampleResult:
+    """The result under budget of an index whose least counterexample is z."""
+    if z < budget:
+        return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
+    # z is minimal, so a smaller budget scans nothing below it
+    return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
+
+
+def _walk(table: TransitionTable, clock: ClockSpec, witnesses: _WitnessTable,
+          start: int, budget: int) -> CounterexampleResult:
+    """The first entry of witnesses with start <= z < budget whose output
+    fails V, recording the table's answer when the walk allows one."""
+    settled = start == 0  # every entry from z = 0 so far was a halted run
+    most = 0  # the largest step count among them
+    for z, x in witnesses.walk(start, budget):
+        halted, steps, fails = _settle(table, clock, x)
+        if not halted:
+            settled = False
+        elif steps > most:
+            most = steps
+        if fails:
+            if settled:
+                # any two answers from one witness table are equal
+                object.__setattr__(table, "answer", (z, most, witnesses))
+            return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
+    return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
 
 
 class ResultCache:
@@ -316,10 +373,7 @@ class ResultCache:
     def lookup(self, n: int, budget: int) -> CounterexampleResult | None:
         z = self._found.get(n)
         if z is not None:
-            if z < budget:
-                return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
-            # z is minimal, so a smaller budget scans nothing below it
-            return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
+            return _least_is(z, budget)
         upto = self._exhausted.get(n)
         if upto is not None and budget <= upto:
             return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)

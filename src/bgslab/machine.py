@@ -53,15 +53,22 @@ class Transition:
 class TransitionTable:
     """A concrete deterministic machine; immutable after construction.
 
-    `outcomes` is not part of the machine: it is the memo of clocked-run
-    outcomes that `bgs.counterexample` keeps per input, so that every index
-    sharing this table object runs the machine once per input.
+    `outcomes` and `answer` are not part of the machine: they are the
+    memos that `bgs.counterexample` keeps for every index sharing this
+    table object.  `outcomes` holds the clocked-run outcome per input, so
+    the machine runs once per input; `answer` holds one search's least
+    counterexample z, the largest step count S of the runs that settled it
+    and the witness table it walked, so an index with clock offset b >= S
+    is answered without a walk.  `bgs` sets `answer` with
+    `object.__setattr__`, because the dataclass is frozen.
     """
 
     state_count: int
     transitions: Mapping[tuple[int, int], Transition]
     outcomes: dict[int, tuple[bool, int, bool]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    answer: tuple[int, int, object] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.state_count < 1:
@@ -92,7 +99,8 @@ class ClockSpec:
             raise ValueError("clock exponents and offsets must be >= 1")
 
     def bound(self, input_value: int) -> int:
-        return len(to_dyadic(input_value)) ** self.a + self.b
+        # |x| = len(to_dyadic(x)), without building the string
+        return ((input_value + 1).bit_length() - 1) ** self.a + self.b
 
 
 @dataclass(frozen=True)
@@ -173,9 +181,10 @@ def step_limit(clock: ClockSpec, input_value: int) -> int | None:
     before such a bound, so its result is the same, but a machine that
     loops under such a clock runs without end.
     """
-    if clock.a >= 64 and len(to_dyadic(input_value)) >= 2:
+    length = (input_value + 1).bit_length() - 1  # |x|, as in ClockSpec.bound
+    if clock.a >= 64 and length >= 2:
         return None
-    bound = clock.bound(input_value)
+    bound = length ** clock.a + clock.b
     return None if bound >= _UNREACHABLE_STEPS else bound
 
 
@@ -222,7 +231,11 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # digit.  Division is still schoolbook in CPython, so the conversion stays
 # quadratic in limb operations.  decode_machine keeps its last result in a
 # one-entry memo: the cutoff pipeline decodes the same m for the
-# no-interrupt check and for both counterexample searches.
+# no-interrupt check and for both counterexample searches.  The memo stays
+# at one entry because a decoded table holds its search memos (`outcomes`
+# and `answer`): a larger memo would keep alive every cutoff table of a long
+# lemma_check range, each with a Goedel number of up to millions of bits
+# and an outcome entry per input run.
 
 _TRITS = "012"
 _LEAF_WIDTH = 6

@@ -374,6 +374,108 @@ def test_null_machine_indices_share_their_runs(monkeypatch):
     assert calls["run"] <= 2 and calls["verify"] <= 2
 
 
+# --- the answer memo against the literal search --------------------------------
+
+def fresh_memos(table: TransitionTable) -> None:
+    table.outcomes.clear()
+    object.__setattr__(table, "answer", None)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.one_of(st.sampled_from([LATE_ONE, ERASER, NULL_MACHINE]),
+                 st.integers(0, 2 ** 32 - 1)),
+       st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2 * DELAY), budgets,
+                          st.integers(-3, 3), st.integers(-2, 2)), min_size=1, max_size=8))
+def test_answered_searches_equal_literal_search_around_the_answer(choice, searches):
+    # once the table holds an answer (z, S), b is drawn within 3 of S and
+    # the budget within 2 of z + 1, the least budget that finds z
+    m, table = shared_table(choice)
+    for a, b, budget, db, dz in searches:
+        answer = table.answer
+        if answer is not None and answer[2] is bgs._TABLE:
+            z, steps, _ = answer
+            b, budget = max(1, steps + db), max(1, z + 1 + dz)
+        search_both(m, table, a, b, budget)
+
+
+# like LATE_ONE on x = 11 ("100"), halted after |x| + DELAY steps with
+# output "1", which satisfies [[+1]]; but halts at once on x = 0, with
+# output 0, which satisfies the empty formula, and after 2 steps on x = 29
+# ("1110") with output "1", which fails [[-1]]: its answer is z = 466 with
+# S = |11| + DELAY, and clock (1, 2) interrupts x = 11, whose entry 93 fails
+QUICK_AFTER_11 = TransitionTable(DELAY + 2, {
+    **{key: t for key, t in LATE_ONE.transitions.items() if key != (0, BLANK)},
+    (1, 1): Transition(HALT, BLANK, MOVE_R),
+})
+
+
+def test_a_resumed_walk_records_no_answer():
+    m, table = shared_table(QUICK_AFTER_11)
+    fresh_memos(table)
+    cache = bgs.ResultCache()
+    large = bgs.BgsIndex(n=triple_encode(m, 1, 2 * DELAY), m=m, a=1, b=2 * DELAY)
+    assert not bgs.counterexample(large, 94, cache).found  # x = 11 halts and passes
+    # resumed at 94, the walk runs only x = 29, in 2 steps, so its S would
+    # read 2 and wrongly answer the clock (1, 2)
+    assert bgs.counterexample(large, 10 ** 5, cache).z == 466
+    assert table.answer is None
+    assert search_both(m, table, 1, 2, 10 ** 5).z == 93
+    # a walk from z = 0 records the answer with the step count of x = 11
+    assert search_both(m, table, 1, 2 * DELAY, 10 ** 5).z == 466
+    assert table.answer == (466, len(codec.to_dyadic(11)) + DELAY, bgs._TABLE)
+    assert search_both(m, table, 1, 2, 10 ** 5).z == 93
+
+
+def test_answered_indices_walk_and_run_nothing(monkeypatch):
+    calls = {"walk": 0, "run": 0, "verify": 0}
+    walk, run_clocked, verify_pair = bgs._WitnessTable.walk, bgs.run_clocked, sat.verify_pair
+
+    def counting_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    def counting_run(*args):
+        calls["run"] += 1
+        return run_clocked(*args)
+
+    def counting_verify(*args):
+        calls["verify"] += 1
+        return verify_pair(*args)
+
+    indices = (bgs.BgsIndex.from_natural(n) for n in itertools.count(10 ** 5))
+    first, *null = itertools.islice((ix for ix in indices if ix.table() is NULL_MACHINE), 2001)
+    fresh_memos(NULL_MACHINE)
+    assert bgs.counterexample(first, 10 ** 5).z == 93
+    assert NULL_MACHINE.answer == (93, 0, bgs._TABLE)  # every run halts in 0 steps
+    monkeypatch.setattr(bgs._WitnessTable, "walk", counting_walk)
+    monkeypatch.setattr(bgs, "run_clocked", counting_run)
+    monkeypatch.setattr(sat, "verify_pair", counting_verify)
+    assert all(bgs.counterexample(ix, 10 ** 5).z == 93 for ix in null)
+    assert bgs.counterexample(null[0], 93) == bgs.CounterexampleResult(
+        bgs.CounterexampleStatus.EXHAUSTED, None, 93, 93)
+    assert calls == {"walk": 0, "run": 0, "verify": 0}
+
+
+def test_exhausted_and_stopped_searches_record_no_answer():
+    m, table = shared_table(ERASER)
+    fresh_memos(table)
+    assert not search_both(m, table, 1, 1, 93).found  # both entries below 93 halted
+    assert table.answer is None
+    # LATE_ONE under (1, 1) is stopped on x = 0 and on x = 11, whose entry 93 fails
+    m, table = shared_table(LATE_ONE)
+    fresh_memos(table)
+    for _ in range(2):  # by a run, then from the stopped memo entries
+        assert search_both(m, table, 1, 1, 10 ** 5).z == 93
+        assert table.answer is None
+    # a stopped entry below a halted failing one: x = 0 loops, x = 11 halts
+    # in 0 steps with its own input as output, which fails [[+1]]
+    m, table = shared_table(TransitionTable(1, {(0, BLANK): Transition(0, BLANK, MOVE_R)}))
+    fresh_memos(table)
+    assert search_both(m, table, 2, 3, 10 ** 5).z == 93
+    assert table.outcomes[0][0] is False and table.outcomes[11] == (True, 0, True)
+    assert table.answer is None
+
+
 # --- cache -------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path):

@@ -23,6 +23,7 @@ from bgslab.machine import (
     parse_machine_file,
     run,
     run_clocked,
+    step_limit,
 )
 
 from helpers import (ERASER, LOOPER, SCANNER, random_table, reference_decode_machine,
@@ -169,6 +170,20 @@ def test_bounds_past_2_64_are_never_built(clock):
     for x in (0, 1, 5, 7, 14, 200):
         assert run_clocked(SCANNER, clock, x) == run(SCANNER, x, 1000)
         assert run_clocked(ERASER, clock, x) == run_clocked(ERASER, ClockSpec(1, 1000), x)
+
+
+def test_step_limit_equals_the_dyadic_string_rules():
+    # the literal rules: |x| is the length of the dyadic string of x, no
+    # limit for a >= 64 on |x| >= 2 or for a bound of 2^64 or more; an
+    # offset of 2^64 - 2 puts the last rule at |x| = 1 and |x| = 2
+    clocks = [ClockSpec(a, b) for a in range(1, 71) for b in (1, 2 ** 64 - 2)]
+    for x in range(4096):
+        length = len(codec.to_dyadic(x))
+        for clock in clocks:
+            bound = length ** clock.a + clock.b
+            assert clock.bound(x) == bound
+            unlimited = (clock.a >= 64 and length >= 2) or bound >= 2 ** 64
+            assert step_limit(clock, x) == (None if unlimited else bound)
 
 
 # --- numbering ---------------------------------------------------------------
