@@ -307,68 +307,101 @@ class ResultCache:
 
     A cached least witness z answers any budget > z; a cached exhausted
     bound U answers any budget <= U and lets larger budgets resume at U.
-    Entries from files written under different codec or machine-encoding
-    versions are discarded, and corrupt files are ignored with a warning,
-    so a stale cache can never change an answer.
+    A file is taken whole or not at all: one written under different codec
+    or machine-encoding versions, or with any malformed entry, is ignored
+    with a warning, so a stale or damaged cache can never change an answer.
+    An entry is well formed when its key is the canonical decimal of a
+    natural n, and it is either found with a natural z or exhausted with
+    an integer bound upto >= 1.
 
     Saving merges: `save` reads the file again and keeps the stronger
     entry per index, so two scans sharing a cache keep each other's
     entries.  There is no lock: an entry saved by another process between
     this save's read and its os.replace is lost.
+
+    A command touches the file only as much as it changes it.  The cache
+    remembers a digest of the file content it last read or wrote: its
+    length and its 64-bit keyed hash, so a changed file goes unseen with
+    probability about 2^-64.  `save` parses the file only when its content
+    differs from that, so each content is parsed once, and writes nothing
+    when it does not and no `record` came since, because the file then
+    already holds exactly this cache.  The writer builds the bytes of
+    `json.dump(data, fh, indent=2, sort_keys=True)` plus a newline
+    directly.
     """
 
     def __init__(self):
         self._found: dict[int, int] = {}
         self._exhausted: dict[int, int] = {}
+        self._seen: tuple[int, int] | None = None  # digest of the content last read or written
+        self._news = False  # whether that content differs from this cache
 
     @classmethod
     def load(cls, path) -> "ResultCache":
         cache = cls()
-        cache._read(path)
+        data = _read_bytes(path)
+        if data is not None:
+            cache._absorb(path, data)
         return cache
 
-    def _read(self, path) -> None:
-        """Merge the file's entries into this cache."""
+    def _absorb(self, path, data: bytes) -> None:
+        """Merge every entry of the file content data into this cache, or
+        none when the content is malformed or from other versions, and
+        remember the content."""
+        self._seen = _digest(data)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if (data.get("codec_version") != CODEC_VERSION
-                    or data.get("machine_encoding_version") != MACHINE_ENCODING_VERSION):
-                log.warning("cache %s has mismatched versions; starting empty", path)
-                return
-            for key, entry in data.get("entries", {}).items():
-                if entry["status"] == "found":
-                    self._merge(int(key), int(entry["z"]), 0)
-                else:
-                    self._merge(int(key), None, int(entry["upto"]))
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError, KeyError, TypeError) as e:
+            maps = _parse(data)
+        except ValueError as e:
             log.warning("ignoring corrupt cache %s: %s", path, e)
+            maps = None
+        else:
+            if maps is None:
+                log.warning("cache %s has mismatched versions; starting empty", path)
+        if maps is None:
+            self._news = True  # a save must replace the file
+        elif self._found or self._exhausted:
+            found, exhausted = maps
+            for n, z in found.items():
+                self._merge(n, z, 0)
+            for n, upto in exhausted.items():
+                self._merge(n, None, upto)
+        else:
+            self._found, self._exhausted = maps
 
     def save(self, path) -> None:
-        self._read(path)
-        entries: dict[str, dict] = {}
-        for n, z in sorted(self._found.items()):
-            entries[str(n)] = {"status": "found", "z": z}
-        for n, upto in sorted(self._exhausted.items()):
-            entries.setdefault(str(n), {"status": "exhausted", "upto": upto})
-        data = {
-            "codec_version": CODEC_VERSION,
-            "machine_encoding_version": MACHINE_ENCODING_VERSION,
-            "entries": entries,
-        }
+        data = _read_bytes(path)
+        if data is not None and _digest(data) == self._seen:
+            if not self._news:
+                return  # the file already holds exactly this cache
+        elif data is not None:
+            self._absorb(path, data)
+        del data  # hold one copy of the content at a time
+        content = self._encode()
         # write a sibling file and rename it over the old one, so a crash
         # mid-write leaves the previous cache in place
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            with open(tmp, "wb") as fh:
+                fh.write(content)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        self._seen, self._news = _digest(content), False
+
+    def _encode(self) -> bytes:
+        """The file content for this cache: what json.dump(data, fh,
+        indent=2, sort_keys=True) writes, plus a newline."""
+        entries = [b'    "%d": {\n      "status": "found",\n      "z": %d\n    }' % item
+                   for item in self._found.items()]
+        entries += [b'    "%d": {\n      "status": "exhausted",\n      "upto": %d\n    }' % item
+                    for item in self._exhausted.items()]
+        if not entries:
+            return b"".join((_HEAD, b"{}", _TAIL))
+        # sorting the entries sorts their keys as strings, "10" before "9":
+        # the quote closing a key sorts below every digit
+        entries.sort()
+        return b"".join((_HEAD, b"{\n", b",\n".join(entries), b"\n  }", _TAIL))
 
     def lookup(self, n: int, budget: int) -> CounterexampleResult | None:
         z = self._found.get(n)
@@ -384,6 +417,7 @@ class ResultCache:
 
     def record(self, n: int, result: CounterexampleResult) -> None:
         self._merge(n, result.z if result.found else None, result.budget)
+        self._news = True
 
     def _merge(self, n: int, z: int | None, upto: int) -> None:
         """Add the least witness z of n, or, when z is None, its exhaustion
@@ -394,3 +428,58 @@ class ResultCache:
             self._exhausted.pop(n, None)
         elif n not in self._found:
             self._exhausted[n] = max(self._exhausted.get(n, 0), upto)
+
+
+# the cache file's fixed text around its entries, as json.dump writes it
+_HEAD = b'{\n  "codec_version": %s,\n  "entries": ' % json.dumps(CODEC_VERSION).encode()
+_TAIL = b',\n  "machine_encoding_version": %s\n}\n' % json.dumps(MACHINE_ENCODING_VERSION).encode()
+
+
+def _read_bytes(path) -> bytes | None:
+    """The content of the cache file at path; None when there is none or
+    it cannot be read, which is logged."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+    except OSError as e:
+        log.warning("ignoring corrupt cache %s: %s", path, e)
+        return None
+
+
+def _digest(data: bytes) -> tuple[int, int]:
+    return len(data), hash(data)
+
+
+def _parse(data: bytes) -> tuple[dict[int, int], dict[int, int]] | None:
+    """The found and exhausted maps of a cache file's content, or None when
+    it was written under other versions; ValueError when it is malformed."""
+    doc = json.loads(data.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    if (doc.get("codec_version") != CODEC_VERSION
+            or doc.get("machine_encoding_version") != MACHINE_ENCODING_VERSION):
+        return None
+    entries = doc.get("entries", {})
+    if not isinstance(entries, dict):
+        raise ValueError("entries is not an object")
+    found: dict[int, int] = {}
+    exhausted: dict[int, int] = {}
+    for key, entry in entries.items():
+        if not (key.isascii() and key.isdigit()) or (key[0] == "0" and len(key) > 1):
+            raise ValueError(f"key {key!r} is not the decimal of a natural")
+        status = entry.get("status") if isinstance(entry, dict) else None
+        if status == "found":
+            z = entry.get("z")
+            if type(z) is not int or z < 0:  # bool is an int subclass
+                raise ValueError(f"entry {key}: z {z!r} is not a natural")
+            found[int(key)] = z
+        elif status == "exhausted":
+            upto = entry.get("upto")
+            if type(upto) is not int or upto < 1:
+                raise ValueError(f"entry {key}: upto {upto!r} is not a positive integer")
+            exhausted[int(key)] = upto
+        else:
+            raise ValueError(f"entry {key} has no status found or exhausted")
+    return found, exhausted

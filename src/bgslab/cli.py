@@ -532,7 +532,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except (UsageError, quasitrivial.CutoffTooLargeError, sat.WidthExceededError) as e:
+    except (UsageError, quasitrivial.CutoffTooLargeError, sat.WidthExceededError,
+            OSError) as e:  # OSError: a cache or report file that cannot be written
         print(f"bgslab: {e}", file=sys.stderr)
         return 2
     except quasitrivial.BudgetTooSmallError as e:

@@ -1,12 +1,15 @@
-"""Hand-built machines shared across test modules."""
+"""Hand-built machines shared across test modules, and the literal
+definitions that the program's fast paths replace."""
 
+import io
+import json
 import random
 
 from bgslab import sat
-from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus
-from bgslab.codec import from_dyadic, unpair
-from bgslab.machine import (BLANK, HALT, MOVE_L, MOVE_R, NULL_MACHINE, Transition,
-                            TransitionTable, run_clocked)
+from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus, ResultCache
+from bgslab.codec import CODEC_VERSION, from_dyadic, unpair
+from bgslab.machine import (BLANK, HALT, MACHINE_ENCODING_VERSION, MOVE_L, MOVE_R,
+                            NULL_MACHINE, Transition, TransitionTable, run_clocked)
 
 # scans right erasing the input block, halts at the first blank: output 0
 ERASER = TransitionTable(1, {
@@ -107,3 +110,36 @@ def reference_counterexample(index: BgsIndex, budget: int) -> CounterexampleResu
         if sat.verify_pair(x, run_clocked(table, clock, x).output) == 0:
             return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
     return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
+
+
+def reference_cache_bytes(cache: ResultCache) -> bytes:
+    """The cache file content that `ResultCache.save` writes for cache, as
+    json.dump with indent 2 and sorted keys, plus a newline."""
+    entries: dict[str, dict] = {}
+    for n, z in sorted(cache._found.items()):
+        entries[str(n)] = {"status": "found", "z": z}
+    for n, upto in sorted(cache._exhausted.items()):
+        entries.setdefault(str(n), {"status": "exhausted", "upto": upto})
+    data = {
+        "codec_version": CODEC_VERSION,
+        "machine_encoding_version": MACHINE_ENCODING_VERSION,
+        "entries": entries,
+    }
+    fh = io.StringIO()
+    json.dump(data, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue().encode("utf-8")
+
+
+def reference_load(path) -> ResultCache:
+    """The entry-by-entry read that `ResultCache.load` replaces for valid
+    files of the current versions: every entry through `_merge`."""
+    cache = ResultCache()
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    for key, entry in data.get("entries", {}).items():
+        if entry["status"] == "found":
+            cache._merge(int(key), int(entry["z"]), 0)
+        else:
+            cache._merge(int(key), None, int(entry["upto"]))
+    return cache

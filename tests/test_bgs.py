@@ -17,7 +17,8 @@ from bgslab.machine import (BLANK, HALT, MOVE_R, NULL_MACHINE, ClockSpec, Transi
                             TransitionTable, decode_machine, encode_machine, step_limit)
 
 from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN,
-                     random_table, reference_counterexample)
+                     random_table, reference_cache_bytes, reference_counterexample,
+                     reference_load)
 
 
 def index_for(table, a=1, b=2) -> bgs.BgsIndex:
@@ -543,12 +544,28 @@ def test_crash_mid_save_keeps_previous_cache(tmp_path, monkeypatch):
     first = bgs.counterexample(ix, 200, cache)
     cache.save(path)
 
-    def crash(data, fh, **kw):
-        fh.write('{"codec_version": ')
-        raise OSError("disk full")
+    class DiskFull:
+        """A file that takes half of the first write, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    def crash(file, mode="r", *args, **kw):
+        fh = open(file, mode, *args, **kw)
+        return DiskFull(fh) if "w" in mode else fh
 
     bgs.counterexample(index_for(ERASER, b=3), 200, cache)
-    monkeypatch.setattr(bgs.json, "dump", crash)
+    monkeypatch.setattr(bgs, "open", crash, raising=False)
     with pytest.raises(OSError):
         cache.save(path)
     assert bgs.ResultCache.load(path).lookup(ix.n, 200) == first
@@ -576,6 +593,130 @@ def test_two_caches_sharing_a_file_keep_each_others_entries(tmp_path):
     entries = json.loads(path.read_text())["entries"]
     assert entries == {str(one.n): {"status": "found", "z": 93},
                        str(two.n): {"status": "found", "z": 93}}
+
+
+def cache_file(entries: dict) -> str:
+    return json.dumps({"codec_version": codec.CODEC_VERSION,
+                       "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION,
+                       "entries": entries})
+
+
+@pytest.mark.parametrize("bad", [
+    {"2": {"status": "found"}},
+    {"2": {"status": "found", "z": -3}},
+    {"2": {"status": "found", "z": 93.9}},
+    {"2": {"status": "found", "z": True}},
+    {"2": {"status": "found", "z": "93"}},
+    {"2": {"status": "exhausted", "upto": 0}},
+    {"2": {"status": "exhausted", "upto": False}},
+    {"2": {"status": "exhausted"}},
+    {"2": {"status": "maybe", "upto": 50}},
+    {"2": {"z": 93}},
+    {"2": [93]},
+    {"010": {"status": "found", "z": 93}},
+    {"-2": {"status": "found", "z": 93}},
+    {"+2": {"status": "found", "z": 93}},
+    {" 2": {"status": "found", "z": 93}},
+    {"\u0662": {"status": "found", "z": 93}},  # an Arabic-Indic digit two
+    {"": {"status": "found", "z": 93}},
+], ids=["no z", "negative z", "float z", "bool z", "string z", "upto 0", "bool upto",
+        "no upto", "other status", "no status", "entry not an object", "leading zero",
+        "negative key", "plus key", "space key", "non-ascii digit key", "empty key"])
+def test_a_malformed_entry_discards_the_whole_file(tmp_path, caplog, bad):
+    path = tmp_path / "cache.json"
+    path.write_text(cache_file({"1": {"status": "found", "z": 5}, **bad}))
+    cache = bgs.ResultCache.load(path)
+    assert cache.lookup(1, 100) is None and cache.resume_from(1) == 0
+    assert any("corrupt" in rec.message for rec in caplog.records)
+    cache.save(path)  # a file that was ignored is rewritten, without the news check
+    assert json.loads(path.read_text())["entries"] == {}
+
+
+@pytest.mark.parametrize("text", ["[]", cache_file([]), b"\xff{}".decode("latin-1")])
+def test_a_malformed_file_is_ignored(tmp_path, text):
+    path = tmp_path / "cache.json"
+    path.write_text(text, encoding="latin-1")
+    assert bgs.ResultCache.load(path).lookup(1, 100) is None
+
+
+def test_a_save_without_news_neither_parses_nor_writes(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    cache = bgs.ResultCache()
+    bgs.counterexample(index_for(ERASER), 200, cache)
+    cache.save(path)
+    before = path.read_bytes(), path.stat()
+    loaded = bgs.ResultCache.load(path)
+    monkeypatch.setattr(bgs, "_parse", None)
+    cache.save(path)
+    bgs.counterexample(index_for(ERASER), 200, loaded)  # answered from the cache
+    loaded.save(path)
+    after = path.read_bytes(), path.stat()
+    assert after[0] == before[0]
+    assert (after[1].st_ino, after[1].st_mtime_ns) == (before[1].st_ino, before[1].st_mtime_ns)
+
+
+def test_a_save_after_a_record_writes_without_parsing(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    bgs.ResultCache().save(path)
+    cache = bgs.ResultCache.load(path)
+    ix = index_for(ERASER)
+    found = bgs.counterexample(ix, 200, cache)
+    monkeypatch.setattr(bgs, "_parse", None)  # the file is as loaded
+    cache.save(path)
+    monkeypatch.undo()
+    assert bgs.ResultCache.load(path).lookup(ix.n, 200) == found
+
+
+def test_a_save_without_news_keeps_another_writers_entries(tmp_path):
+    path = tmp_path / "cache.json"
+    bgs.ResultCache().save(path)
+    idle, busy = bgs.ResultCache.load(path), bgs.ResultCache.load(path)
+    ix = index_for(ERASER)
+    found = bgs.counterexample(ix, 200, busy)
+    busy.save(path)
+    idle.save(path)  # no news of its own, but the file changed since its load
+    assert bgs.ResultCache.load(path).lookup(ix.n, 200) == found
+    assert idle.lookup(ix.n, 200) == found
+
+
+naturals = st.one_of(st.integers(0, 200), st.integers(0, 10 ** 7),
+                     st.integers(10 ** 2999, 10 ** 3001))
+
+
+@st.composite
+def caches(draw):
+    cache = bgs.ResultCache()
+    for n in draw(st.lists(naturals, max_size=40, unique=True)):
+        if draw(st.booleans()):
+            cache._merge(n, draw(naturals), 0)
+        else:
+            cache._merge(n, None, draw(naturals.map(lambda u: u + 1)))
+    return cache
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(caches())
+def test_written_bytes_equal_json_dump(cache):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.json"
+        cache.save(path)
+        assert path.read_bytes() == reference_cache_bytes(cache)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(caches(), st.sampled_from([None, 2]), st.randoms(use_true_random=False))
+def test_loads_equal_the_entry_by_entry_merge(cache, indent, rng):
+    entries = json.loads(reference_cache_bytes(cache))["entries"]
+    items = list(entries.items())
+    rng.shuffle(items)  # any entry order, any layout
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.json"
+        path.write_text(json.dumps({"codec_version": codec.CODEC_VERSION,
+                                    "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION,
+                                    "entries": dict(items)}, indent=indent))
+        loaded, reference = bgs.ResultCache.load(path), reference_load(path)
+    assert (loaded._found, loaded._exhausted) == (reference._found, reference._exhausted)
+    assert (loaded._found, loaded._exhausted) == (cache._found, cache._exhausted)
 
 
 def test_cold_and_warm_results_are_identical(tmp_path):

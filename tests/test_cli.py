@@ -175,6 +175,52 @@ def test_scan_cold_and_warm_reports_are_byte_identical(capsys, tmp_path):
     assert cold.read_bytes() == warm.read_bytes()
 
 
+def test_scan_cache_file_matches_golden(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    assert cli.main(["bgs", "scan", "--from", "15", "--to", "18", "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    assert cache.read_bytes() == (GOLDEN / "cache_scan_15_18.json").read_bytes()
+
+
+def test_a_cache_hit_leaves_the_file_untouched(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    argv = ["bgs", "counterexample", "--budget", "150", "--cache", str(cache), "--index"]
+    assert cli.main(argv + ["17"]) == 0
+    before = cache.read_bytes(), cache.stat()
+    assert cli.main(argv + ["17"]) == 0  # a hit
+    after = cache.read_bytes(), cache.stat()
+    assert after[0] == before[0]
+    assert (after[1].st_ino, after[1].st_mtime_ns) == (before[1].st_ino, before[1].st_mtime_ns)
+    assert cli.main(argv + ["18"]) == 0  # a miss
+    capsys.readouterr()
+    assert json.loads(cache.read_text())["entries"] == {
+        "17": {"status": "found", "z": 93}, "18": {"status": "found", "z": 93}}
+
+
+def test_a_malformed_cache_is_searched_afresh(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({
+        "codec_version": cli.CODEC_VERSION,
+        "machine_encoding_version": cli.MACHINE_ENCODING_VERSION,
+        "entries": {"7": {"status": "found", "z": -3}}}))
+    rc, out, _ = run_cli(capsys, ["bgs", "counterexample", "--index", "7",
+                                  "--cache", str(cache)])
+    assert rc == 0
+    _, fresh, _ = run_cli(capsys, ["bgs", "counterexample", "--index", "7"])
+    assert out == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ["bgs", "counterexample", "--index", "17", "--cache", "nodir/c.json"],
+    ["bgs", "scan", "--from", "0", "--to", "3", "--out", "nodir/o.json"],
+])
+def test_an_unwritable_output_file_exits_two(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert err.startswith("bgslab: ") and err.count("\n") == 1 and "nodir" in err
+
+
 def test_timings_flag_adds_millis(capsys):
     rc, out, _ = run_cli(capsys, ["bgs", "scan", "--from", "15", "--to", "15",
                                   "--budget", "100", "--timings"])
