@@ -34,10 +34,13 @@ through its step limit, and a limit cannot matter to a run that halted
 within it, so each decoded table keeps, in its `outcomes` field, one entry
 per input x it was run on: the step count and the verdict of a run that
 halted, or the largest limit under which it had not halted and the verdict
-on output 0.  Every index with the same table object (every unparsable m
-decodes to NULL_MACHINE) shares those entries; a run that no entry settles
-under the index's limit is simulated and its outcome recorded.  The memo's
-memory is one entry per witness-table entry walked, per live table.
+on output 0.  Every index with the same table object shares those
+entries: every unparsable m decodes to NULL_MACHINE, and decode_machine
+keeps the table of every m below 2^64 in a bounded LRU, so every index
+with the same such m gets the same table; a larger m keeps only its last
+table.  A run that no entry settles under the index's limit is simulated
+and its outcome recorded.  The memo's memory is one entry per
+witness-table entry walked, per live table.
 
 Each decoded table also keeps, in its `answer` field, the answer of one
 search: its least counterexample z, the largest step count S among the
@@ -69,6 +72,7 @@ import logging
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import sat
 from .codec import CODEC_VERSION, decode_cnf, pair, triple_decode, unpair
@@ -101,7 +105,7 @@ class BgsIndex:
     def from_natural(cls, n: int) -> "BgsIndex":
         m, a, b = triple_decode(n)
         # the clock requires positive exponent and offset; lift zeros
-        return cls(n=n, m=m, a=max(a, 1), b=max(b, 1))
+        return cls(n, m, a or 1, b or 1)
 
     @property
     def clock(self) -> ClockSpec:
@@ -274,8 +278,10 @@ def counterexample(index: BgsIndex, budget: int,
     return result
 
 
+@lru_cache(maxsize=1024)
 def _least_is(z: int, budget: int) -> CounterexampleResult:
-    """The result under budget of an index whose least counterexample is z."""
+    """The result under budget of an index whose least counterexample is z,
+    one shared object per (z, budget)."""
     if z < budget:
         return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
     # z is minimal, so a smaller budget scans nothing below it
@@ -298,7 +304,7 @@ def _walk(table: TransitionTable, clock: ClockSpec, witnesses: _WitnessTable,
             if settled:
                 # any two answers from one witness table are equal
                 object.__setattr__(table, "answer", (z, most, witnesses))
-            return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
+            return _least_is(z, budget)
     return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
 
 
@@ -384,6 +390,11 @@ class ResultCache:
             with open(tmp, "wb") as fh:
                 fh.write(content)
             os.replace(tmp, path)
+        except OSError as e:
+            if e.filename != tmp:
+                raise
+            # name the path the caller gave, not its sibling
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -229,13 +229,20 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # halves and finish 6-digit leaves from a table, so the per-digit work is
 # done by C big-integer division instead of one interpreted divmod per
 # digit.  Division is still schoolbook in CPython, so the conversion stays
-# quadratic in limb operations.  decode_machine keeps its last result in a
-# one-entry memo: the cutoff pipeline decodes the same m for the
-# no-interrupt check and for both counterexample searches.  The memo stays
-# at one entry because a decoded table holds its search memos (`outcomes`
-# and `answer`): a larger memo would keep alive every cutoff table of a long
-# lemma_check range, each with a Goedel number of up to millions of bits
-# and an outcome entry per input run.
+# quadratic in limb operations.
+#
+# decode_machine memoizes its tables by size of m, because a decoded table
+# holds its search memos (`outcomes` and `answer`), and every index that
+# gets the same table object shares them.  A table whose m has at most 64
+# bits (at most 41 digits, so at most 8 transitions) is kept in an LRU of
+# 4096 entries: a block of contiguous indices repeats few such m (190 to
+# 460 distinct m divisible by 3 in 20 000 indices below 10^6), so each is
+# parsed, and each of its machine runs made, once rather than per index.
+# Any larger m keeps only the last result, in a one-entry memo: the cutoff
+# pipeline decodes the same m for the no-interrupt check and for both
+# counterexample searches, and a larger memo would keep alive every cutoff
+# table of a long lemma_check range, each with a Goedel number of up to
+# millions of bits and an outcome entry per input run.
 
 _TRITS = "012"
 _LEAF_WIDTH = 6
@@ -283,13 +290,24 @@ def encode_machine(table: TransitionTable) -> int:
     return int(digits or "0", 3) + (3 ** len(digits) - 1) // 2
 
 
-@lru_cache(maxsize=1)
+_SMALL_GOEDEL = 1 << 64  # m below this has its table kept in the LRU
+_SMALL_TABLES = 4096
+
+
 def decode_machine(m: int) -> TransitionTable:
     """Total decoder: every natural is a machine, and every unparsable one
     is the NULL_MACHINE object.  The result is shared by repeated calls
-    with the same m and must not be modified."""
+    with the same m and must not be modified: the tables of m below 2^64
+    stay in an LRU of 4096 entries, and a larger m keeps only the last
+    one.  `decode_machine.cache_clear()` empties both memos."""
     if m % 3 != 0 or m == 0:
         return NULL_MACHINE
+    if m < _SMALL_GOEDEL:
+        return _decode_small(m)
+    return _decode_large(m)
+
+
+def _parse_machine(m: int) -> TransitionTable:
     flat = [from_dyadic(f) for f in _to_trits(m).split("2")[:-1]]
     if len(flat) % 5 != 0:
         return NULL_MACHINE
@@ -303,6 +321,18 @@ def decode_machine(m: int) -> TransitionTable:
         transitions[(q, s)] = Transition(next_state, write, MOVE_L if move == 0 else MOVE_R)
         max_state = max(max_state, q, next_state)
     return TransitionTable(state_count=max_state + 1, transitions=transitions)
+
+
+_decode_small = lru_cache(maxsize=_SMALL_TABLES)(_parse_machine)
+_decode_large = lru_cache(maxsize=1)(_parse_machine)
+
+
+def _clear_decoded() -> None:
+    _decode_small.cache_clear()
+    _decode_large.cache_clear()
+
+
+decode_machine.cache_clear = _clear_decoded
 
 
 # --- Text format -----------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgslab import bgs, codec, quasitrivial as qt, sat
+from bgslab import bgs, codec, machine, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_encode, unpair
 from bgslab.machine import (BLANK, HALT, MOVE_R, NULL_MACHINE, ClockSpec, Transition,
                             TransitionTable, decode_machine, encode_machine, step_limit)
@@ -66,6 +66,36 @@ def test_zero_clock_fields_are_lifted_to_one():
     ix = bgs.BgsIndex.from_natural(n)
     assert (ix.a, ix.b) == (1, 1)
     assert ix.clock == ClockSpec(1, 1)
+
+
+def lifted_triple(n: int) -> tuple[int, int, int, int]:
+    """The literal index of n: its triple with zero clock fields lifted to 1."""
+    m, a, b = codec.triple_decode(n)
+    return n, m, max(a, 1), max(b, 1)
+
+
+def index_fields(ix: bgs.BgsIndex) -> tuple[int, int, int, int]:
+    return ix.n, ix.m, ix.a, ix.b
+
+
+def test_from_natural_equals_the_lifted_triple_on_an_initial_segment():
+    for n in range(10 ** 5):
+        assert index_fields(bgs.BgsIndex.from_natural(n)) == lifted_triple(n), n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 4000), st.integers(0, 2 ** 32), st.integers(0, 2), st.integers(0, 2))
+def test_from_natural_equals_the_lifted_triple_on_large_numbers(bits, seed, a, b):
+    # a random n rarely decodes a zero clock field, so encode some that do
+    rng = random.Random(seed)
+    for n in (rng.getrandbits(bits), triple_encode(rng.getrandbits(bits // 2), a, b)):
+        assert index_fields(bgs.BgsIndex.from_natural(n)) == lifted_triple(n)
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (0, 0), (-1, 2)])
+def test_a_hand_built_index_needs_a_positive_clock(a, b):
+    with pytest.raises(ValueError):
+        bgs.BgsIndex(n=triple_encode(3, max(a, 0), b), m=3, a=a, b=b)
 
 
 # --- runs and predicates -----------------------------------------------------
@@ -153,6 +183,21 @@ def test_counterexample_rejects_zero_budget():
 def test_counterexample_is_deterministic():
     ix = index_for(ERASER)
     assert bgs.counterexample(ix, 150) == bgs.counterexample(ix, 150)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(-2, 2))
+def test_a_known_least_counterexample_equals_the_literal_result(z, d):
+    # the budget is within 2 of z, on both sides of z < budget
+    budget = max(1, z + d)
+    if z < budget:
+        literal = bgs.CounterexampleResult(bgs.CounterexampleStatus.FOUND, z, z + 1, budget)
+    else:
+        literal = bgs.CounterexampleResult(bgs.CounterexampleStatus.EXHAUSTED, None,
+                                           budget, budget)
+    got = bgs._least_is(z, budget)
+    assert got == literal
+    assert bgs._least_is(z, budget) is got  # one shared value per (z, budget)
 
 
 def test_scan_empty_range_is_empty():
@@ -373,6 +418,50 @@ def test_null_machine_indices_share_their_runs(monkeypatch):
     monkeypatch.setattr(sat, "verify_pair", counting_verify)
     assert all(bgs.counterexample(ix, 10 ** 5).z == 93 for ix in null)
     assert calls["run"] <= 2 and calls["verify"] <= 2
+
+
+def test_a_second_pass_over_a_block_converts_no_digits_and_runs_no_machine(monkeypatch):
+    # every m of the block is below 2^64, so its table stays decoded with
+    # its memos, and the second pass is answered from them
+    calls = {"trits": 0, "run": 0}
+    to_trits, run_clocked = machine._to_trits, bgs.run_clocked
+
+    def counting_trits(n):
+        calls["trits"] += 1
+        return to_trits(n)
+
+    def counting_run(*args):
+        calls["run"] += 1
+        return run_clocked(*args)
+
+    monkeypatch.setattr(machine, "_to_trits", counting_trits)
+    monkeypatch.setattr(bgs, "run_clocked", counting_run)
+    block = range(140_891, 142_891)  # about 530 distinct m
+    decode_machine.cache_clear()
+    first = [bgs.counterexample(bgs.BgsIndex.from_natural(n), 10 ** 5) for n in block]
+    assert calls["trits"] > 0 and calls["run"] > 0
+    calls.update(trits=0, run=0)
+    second = [bgs.counterexample(bgs.BgsIndex.from_natural(n), 10 ** 5) for n in block]
+    assert second == first
+    assert calls == {"trits": 0, "run": 0}
+
+
+small_goedel_numbers = st.one_of(
+    st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: encode_machine(random_table(random.Random(seed), 2))),
+    st.integers(0, 2 ** 64 - 1)).filter(lambda m: m < 2 ** 64)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(small_goedel_numbers, min_size=1, max_size=3),
+       st.lists(st.tuples(clocks, budgets), min_size=1, max_size=3))
+def test_memoized_searches_over_small_goedel_numbers_equal_literal_search(ms, searches):
+    # the tables of these m stay decoded between the searches, so every
+    # search after the first of an m starts from its table's memos
+    for (a, b), budget in searches:
+        for m in ms:
+            ix = bgs.BgsIndex(triple_encode(m, a, b), m, a, b)
+            assert bgs.counterexample(ix, budget) == reference_counterexample(ix, budget)
 
 
 # --- the answer memo against the literal search --------------------------------

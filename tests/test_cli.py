@@ -221,6 +221,15 @@ def test_an_unwritable_output_file_exits_two(capsys, tmp_path, monkeypatch, argv
     assert err.startswith("bgslab: ") and err.count("\n") == 1 and "nodir" in err
 
 
+def test_an_unwritable_cache_is_named_as_given(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli(capsys, ["bgs", "counterexample", "--index", "17",
+                                  "--cache", "nodir/c.json"])
+    assert rc == 2
+    assert err == "bgslab: [Errno 2] No such file or directory: 'nodir/c.json'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_timings_flag_adds_millis(capsys):
     rc, out, _ = run_cli(capsys, ["bgs", "scan", "--from", "15", "--to", "15",
                                   "--budget", "100", "--timings"])

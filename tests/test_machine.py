@@ -1,6 +1,8 @@
 """Engine semantics: step accounting, clocks, numbering, file format."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -257,11 +259,48 @@ def test_decode_encode_roundtrips_large_tables(states, seed):
 
 
 def test_decode_keeps_one_result():
-    # the one-entry memo answers a repeat of the last number and nothing else
+    # a repeat of a number gets the same table, and decoding another number
+    # in between leaves the first equal to its machine
     m = encode_machine(SCANNER)
     assert decode_machine(m) is decode_machine(m)
     assert decode_machine(encode_machine(ERASER)) == ERASER
     assert decode_machine(m) == SCANNER
+
+
+def test_a_small_number_keeps_its_table_while_others_are_decoded():
+    m = encode_machine(SCANNER)
+    assert m < 2 ** 64
+    table = decode_machine(m)
+    for other in range(3, 3000, 3):
+        decode_machine(other)
+    assert decode_machine(m) is table
+
+
+def test_the_tables_of_small_numbers_are_bounded():
+    table = weakref.ref(decode_machine(encode_machine(SCANNER)))
+    for other in range(3, 3 * 5000, 3):  # more numbers than the memo keeps
+        decode_machine(other)
+    gc.collect()
+    assert table() is None
+
+
+def test_cache_clear_empties_both_memos():
+    small = encode_machine(SCANNER)
+    large = encode_machine(random_table(random.Random(7), 40))
+    tables = decode_machine(small), decode_machine(large)
+    decode_machine.cache_clear()
+    assert decode_machine(small) is not tables[0]
+    assert decode_machine(large) is not tables[1]
+
+
+def test_a_second_large_number_releases_the_first_table():
+    rng = random.Random(7)
+    first, second = (encode_machine(random_table(rng, 40)) for _ in range(2))
+    assert min(first, second) >= 2 ** 64 and first != second
+    table = weakref.ref(decode_machine(first))
+    assert decode_machine(second) is decode_machine(second)
+    gc.collect()
+    assert table() is None
 
 
 def test_decode_equals_full_parse_on_initial_segment():
