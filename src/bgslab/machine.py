@@ -27,7 +27,7 @@ from itertools import product
 from math import log2
 from typing import Callable, Mapping
 
-from .codec import from_dyadic, to_dyadic
+from .codec import to_dyadic
 
 MACHINE_ENCODING_VERSION = "flat5-trit-1"
 
@@ -53,6 +53,15 @@ class Transition:
 class TransitionTable:
     """A concrete deterministic machine; immutable after construction.
 
+    `step_table` is the transition map in the form the simulator reads: a
+    flat list of rows of three cells (symbols 0, 1, BLANK), one row for
+    state 0 (first), one for each other state that has a transition, and
+    a last row of None cells shared by every state without transitions.
+    The cell of (state, symbol) holds (first cell of the next state's row,
+    write, +1 for R or -1 for L, next state), or None where the machine
+    halts.  Rows go by transitions, not by `state_count`, so a table with
+    huge state numbers stays small.
+
     `outcomes` and `answer` are not part of the machine: they are the
     memos that `bgs.counterexample` keeps for every index sharing this
     table object.  `outcomes` holds the clocked-run outcome per input, so
@@ -65,6 +74,8 @@ class TransitionTable:
 
     state_count: int
     transitions: Mapping[tuple[int, int], Transition]
+    step_table: list[tuple[int, int, int, int] | None] = field(
+        init=False, compare=False, repr=False)
     outcomes: dict[int, tuple[bool, int, bool]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     answer: tuple[int, int, object] | None = field(
@@ -73,15 +84,25 @@ class TransitionTable:
     def __post_init__(self):
         if self.state_count < 1:
             raise ValueError("state_count must be >= 1")
+        rows = {0: 0}  # state -> first cell of its row
+        for q, _ in self.transitions:
+            if q not in rows:
+                rows[q] = 3 * len(rows)
+        halting = 3 * len(rows)  # the row of every state without transitions
+        cells: list[tuple[int, int, int, int] | None] = [None] * (halting + 3)
         for (q, s), t in self.transitions.items():
+            nxt, write, move = t.next_state, t.write, t.move
             if not (0 <= q < self.state_count):
                 raise ValueError(f"state {q} out of range")
-            if s not in SYMBOLS or t.write not in SYMBOLS:
+            if s not in SYMBOLS or write not in SYMBOLS:
                 raise ValueError(f"bad symbol in transition ({q}, {s})")
-            if t.move not in (MOVE_L, MOVE_R):
-                raise ValueError(f"bad move {t.move!r}")
-            if t.next_state != HALT and not (0 <= t.next_state < self.state_count):
-                raise ValueError(f"next state {t.next_state} out of range")
+            if move not in (MOVE_L, MOVE_R):
+                raise ValueError(f"bad move {move!r}")
+            if nxt != HALT and not (0 <= nxt < self.state_count):
+                raise ValueError(f"next state {nxt} out of range")
+            cells[rows[q] + s] = (rows.get(nxt, halting), write,
+                                  1 if move == MOVE_R else -1, nxt)
+        object.__setattr__(self, "step_table", cells)
 
 
 NULL_MACHINE = TransitionTable(state_count=1, transitions={})
@@ -118,46 +139,52 @@ class RunResult:
 StepObserver = Callable[[int, int, int, int], None]  # step, state, head, symbol
 
 
-def _read_output(tape: list[int]) -> int:
-    block = []
-    for sym in tape:
-        if sym == BLANK:
-            break
-        block.append("01"[sym])
-    return from_dyadic("".join(block))
+# dyadic digit characters to tape symbols and back
+_TAPE_SYMBOLS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _read_output(tape: bytearray) -> int:
+    end = tape.find(BLANK)
+    block = tape if end < 0 else tape[:end]
+    return int(b"1" + block.translate(_DIGITS), 2) - 1  # from_dyadic, unchecked
 
 
 def _simulate(table: TransitionTable, input_value: int, limit: int | None,
-              on_step: StepObserver | None = None) -> tuple[bool, int, list[int]]:
+              on_step: StepObserver | None = None) -> tuple[bool, int, bytearray]:
     """Run up to `limit` applied steps (no limit when None); returns
-    (halted, steps, tape).
+    (halted, steps, tape), the tape one symbol per byte.
 
     `halted` is true when the machine can make no further move, including
     the case where that happens at exactly `limit` steps.
     """
-    tape = [int(c) for c in to_dyadic(input_value)]
-    trans = table.transitions
+    tape = bytearray(to_dyadic(input_value), "ascii").translate(_TAPE_SYMBOLS)
+    size = len(tape)
+    cells = table.step_table
+    row = 0  # the row of state 0
     state = 0
     head = 0
     steps = 0
     while True:
-        sym = tape[head] if head < len(tape) else BLANK
-        t = trans.get((state, sym))
-        if t is None:
+        sym = tape[head] if head < size else BLANK
+        cell = cells[row + sym]
+        if cell is None:
             return True, steps, tape
         if steps == limit:
             return False, steps, tape
         if on_step is not None:
             on_step(steps, state, head, sym)
-        while head >= len(tape):
-            tape.append(BLANK)
-        tape[head] = t.write
-        if t.move == MOVE_R:
-            head += 1
-        elif head > 0:
-            head -= 1
+        row, write, move, state = cell
+        # the head is never past the first cell beyond the tape's end
+        if head < size:
+            tape[head] = write
+        else:
+            tape.append(write)
+            size += 1
+        head += move
+        if head < 0:
+            head = 0
         steps += 1
-        state = t.next_state
         if state == HALT:
             return True, steps, tape
 
@@ -225,11 +252,21 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # The bijective string of n has the length L with
 # (3^L - 1)/2 <= n < (3^(L+1) - 1)/2, and is n - (3^L - 1)/2 written as
 # exactly L plain base-3 digits (encode_machine is the inverse).  Those
-# digits come by divide and conquer: split off the low half of the digits with one divmod by 3^h, recurse on both
-# halves and finish 6-digit leaves from a table, so the per-digit work is
-# done by C big-integer division instead of one interpreted divmod per
-# digit.  Division is still schoolbook in CPython, so the conversion stays
-# quadratic in limb operations.
+# digits come level by level: pad them to 2^j leaves of w digits, with j
+# the least such that 6 * 2^j >= L and w = ceil(L / 2^j) (4, 5 or 6), and
+# split every part of a level with one divmod by 3^(w * 2^i), i = j-1..0,
+# in one list comprehension.  The 2^j leaves are read from a table and the
+# leading w * 2^j - L padding digits cut off, so the per-digit work is
+# done by C big-integer division instead of interpreted calls.  Division
+# is still schoolbook in CPython, so the conversion stays quadratic in
+# limb operations.
+#
+# A parsed field holds only the digits 0 and 1, so it is read as a dyadic
+# string without from_dyadic's check, once per distinct field, and one
+# Transition object is built per distinct (next, write, move) entry: the
+# cutoff-400 machine has 7415 fields of 571 distinct values and 1483
+# transitions of 572 distinct entries.  encode_machine builds each
+# distinct value's digits once likewise.
 #
 # decode_machine memoizes its tables by size of m, because a decoded table
 # holds its search memos (`outcomes` and `answer`), and every index that
@@ -244,22 +281,10 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # table of a long lemma_check range, each with a Goedel number of up to
 # millions of bits and an outcome entry per input run.
 
-_TRITS = "012"
 _LEAF_WIDTH = 6
-_LEAVES = tuple("".join(t) for t in product(_TRITS, repeat=_LEAF_WIDTH))
-
-
-def _plain_trits(r: int, width: int, out: list[str], powers: dict[int, int]) -> None:
-    """Append r (0 <= r < 3^width) to out as exactly `width` base-3 digits."""
-    if width <= _LEAF_WIDTH:
-        out.append(_LEAVES[r][_LEAF_WIDTH - width:])
-        return
-    h = width // 2
-    if h not in powers:
-        powers[h] = 3 ** h
-    high, low = divmod(r, powers[h])
-    _plain_trits(high, width - h, out, powers)
-    _plain_trits(low, h, out, powers)
+# _LEAVES[w][r] is r (0 <= r < 3^w) as exactly w base-3 digits
+_LEAVES = tuple(tuple("".join(t) for t in product("012", repeat=w))
+                for w in range(_LEAF_WIDTH + 1))
 
 
 def _to_trits(n: int) -> str:
@@ -273,19 +298,30 @@ def _to_trits(n: int) -> str:
     while 3 * power <= t:
         power *= 3
         length += 1
-    out: list[str] = []
-    _plain_trits(n - (power - 1) // 2, length, out, {})
-    return "".join(out)
+    r = n - (power - 1) // 2  # 0 <= r < 3^length
+    if length <= _LEAF_WIDTH:
+        return _LEAVES[length][r]
+    levels = 1  # the least j with 6 * 2^j >= length: 2^j leaves
+    while _LEAF_WIDTH << levels < length:
+        levels += 1
+    width = -(-length // (1 << levels))  # the leaf width, 4, 5 or 6
+    powers = [3 ** width]  # powers[i] = 3^(width * 2^i)
+    for _ in range(levels - 1):
+        powers.append(powers[-1] * powers[-1])
+    parts = [r]  # r padded to width * 2^levels digits, split level by level
+    for divisor in reversed(powers):
+        parts = [part for whole in parts for part in divmod(whole, divisor)]
+    digits = "".join(map(_LEAVES[width].__getitem__, parts))
+    return digits[(width << levels) - length:]
 
 
 def encode_machine(table: TransitionTable) -> int:
-    parts: list[str] = []
+    flat: list[int] = []
     for (q, s), t in sorted(table.transitions.items()):
         nxt = 0 if t.next_state == HALT else t.next_state + 1
-        for field in (q, s, nxt, t.write, 0 if t.move == MOVE_L else 1):
-            parts.append(to_dyadic(field))
-            parts.append("2")
-    digits = "".join(parts)
+        flat += (q, s, nxt, t.write, 0 if t.move == MOVE_L else 1)
+    words = {v: to_dyadic(v) + "2" for v in set(flat)}
+    digits = "".join(map(words.__getitem__, flat))
     # bijective base 3 with digits 1, 2, 3 is plain base 3 plus a repunit
     return int(digits or "0", 3) + (3 ** len(digits) - 1) // 2
 
@@ -308,18 +344,23 @@ def decode_machine(m: int) -> TransitionTable:
 
 
 def _parse_machine(m: int) -> TransitionTable:
-    flat = [from_dyadic(f) for f in _to_trits(m).split("2")[:-1]]
-    if len(flat) % 5 != 0:
+    fields = _to_trits(m).split("2")[:-1]  # each only 0s and 1s
+    if len(fields) % 5 != 0:
         return NULL_MACHINE
+    values = {f: int("1" + f, 2) - 1 for f in set(fields)}  # from_dyadic, unchecked
+    flat = map(values.__getitem__, fields)  # one iterator, zipped five times
     transitions: dict[tuple[int, int], Transition] = {}
+    shared: dict[tuple[int, int, int], Transition] = {}  # one object per distinct entry
     max_state = 0
-    for i in range(0, len(flat), 5):
-        q, s, nxt, write, move = flat[i:i + 5]
+    for q, s, nxt, write, move in zip(flat, flat, flat, flat, flat):
         if s > 2 or write > 2 or move > 1 or (q, s) in transitions:
             return NULL_MACHINE
-        next_state = HALT if nxt == 0 else nxt - 1
-        transitions[(q, s)] = Transition(next_state, write, MOVE_L if move == 0 else MOVE_R)
-        max_state = max(max_state, q, next_state)
+        t = shared.get((nxt, write, move))
+        if t is None:
+            t = shared[nxt, write, move] = Transition(
+                HALT if nxt == 0 else nxt - 1, write, MOVE_L if move == 0 else MOVE_R)
+        transitions[(q, s)] = t
+        max_state = max(max_state, q, t.next_state)
     return TransitionTable(state_count=max_state + 1, transitions=transitions)
 
 

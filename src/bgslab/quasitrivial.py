@@ -166,15 +166,21 @@ class NoInterruptReport:
 
 def verify_no_interrupt(record: EmbeddingRecord, test_window: int = 200) -> NoInterruptReport:
     """Check that C_(2, b_m) never interrupts the machine and never changes
-    its output or step count, on every x <= max(k, test_window)."""
+    its output or step count, on every x <= max(k, test_window).
+
+    One clocked run per x decides what a comparison with a free run under
+    _MEASURE_FUEL steps would: the same simulator on the same input makes
+    the same moves, so a clocked run that halts after s steps is that free
+    run when s <= _MEASURE_FUEL, output and steps alike, and the free run
+    exhausts its fuel when s > _MEASURE_FUEL.  The check therefore fails
+    at x exactly when the clocked run is interrupted or halts after more
+    than _MEASURE_FUEL steps."""
     table = decode_machine(record.m)
     clock = ClockSpec(2, record.b_m)
     upper = max(record.k, test_window)
     for x in range(upper + 1):
-        free = run(table, x, _MEASURE_FUEL)
         clocked = run_clocked(table, clock, x)
-        if (clocked.interrupted or not free.halted
-                or clocked.output != free.output or clocked.steps != free.steps):
+        if clocked.interrupted or clocked.steps > _MEASURE_FUEL:
             return NoInterruptReport(ok=False, failed_at=x, checked=x + 1)
     return NoInterruptReport(ok=True, failed_at=None, checked=upper + 1)
 

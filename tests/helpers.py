@@ -5,11 +5,12 @@ import io
 import json
 import random
 
-from bgslab import sat
+from bgslab import quasitrivial, sat
 from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus, ResultCache
-from bgslab.codec import CODEC_VERSION, from_dyadic, unpair
+from bgslab.codec import CODEC_VERSION, from_dyadic, to_dyadic, unpair
 from bgslab.machine import (BLANK, HALT, MACHINE_ENCODING_VERSION, MOVE_L, MOVE_R,
-                            NULL_MACHINE, Transition, TransitionTable, run_clocked)
+                            NULL_MACHINE, ClockSpec, RunResult, Transition, TransitionTable,
+                            decode_machine, run_clocked, step_limit)
 
 # scans right erasing the input block, halts at the first blank: output 0
 ERASER = TransitionTable(1, {
@@ -60,6 +61,84 @@ def random_table(rng: random.Random, max_states: int = 4) -> TransitionTable:
                 transitions[(q, sym)] = Transition(
                     nxt, rng.choice((0, 1, BLANK)), rng.choice((MOVE_L, MOVE_R)))
     return TransitionTable(states, transitions)
+
+
+def _reference_read_output(tape: list[int]) -> int:
+    block = []
+    for sym in tape:
+        if sym == BLANK:
+            break
+        block.append("01"[sym])
+    return from_dyadic("".join(block))
+
+
+def reference_simulate(table: TransitionTable, input_value: int, limit: int | None,
+                       on_step=None) -> tuple[bool, int, list[int]]:
+    """The literal simulator that `machine._simulate` replaces: a list
+    tape and one `transitions` lookup per step; returns
+    (halted, steps, tape)."""
+    tape = [int(c) for c in to_dyadic(input_value)]
+    trans = table.transitions
+    state = 0
+    head = 0
+    steps = 0
+    while True:
+        sym = tape[head] if head < len(tape) else BLANK
+        t = trans.get((state, sym))
+        if t is None:
+            return True, steps, tape
+        if steps == limit:
+            return False, steps, tape
+        if on_step is not None:
+            on_step(steps, state, head, sym)
+        while head >= len(tape):
+            tape.append(BLANK)
+        tape[head] = t.write
+        if t.move == MOVE_R:
+            head += 1
+        elif head > 0:
+            head -= 1
+        steps += 1
+        state = t.next_state
+        if state == HALT:
+            return True, steps, tape
+
+
+def reference_run(table: TransitionTable, input_value: int, max_steps: int,
+                  on_step=None) -> RunResult:
+    """`machine.run` on the literal simulator."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    halted, steps, tape = reference_simulate(table, input_value, max_steps, on_step)
+    if halted:
+        return RunResult(output=_reference_read_output(tape), steps=steps)
+    return RunResult(output=0, steps=max_steps, fuel_exhausted=True)
+
+
+def reference_run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
+                          on_step=None) -> RunResult:
+    """`machine.run_clocked` on the literal simulator."""
+    bound = step_limit(clock, input_value)
+    halted, steps, tape = reference_simulate(table, input_value, bound, on_step)
+    if halted:
+        return RunResult(output=_reference_read_output(tape), steps=steps)
+    return RunResult(output=0, steps=bound, interrupted=True)
+
+
+def reference_no_interrupt(record, test_window: int = 200):
+    """The two-run form of `quasitrivial.verify_no_interrupt`: per x, a free
+    run under `quasitrivial._MEASURE_FUEL` steps and a clocked run, which
+    must agree in output and steps with neither stopped."""
+    table = decode_machine(record.m)
+    clock = ClockSpec(2, record.b_m)
+    upper = max(record.k, test_window)
+    for x in range(upper + 1):
+        free = reference_run(table, x, quasitrivial._MEASURE_FUEL)
+        clocked = reference_run_clocked(table, clock, x)
+        if (clocked.interrupted or not free.halted
+                or clocked.output != free.output or clocked.steps != free.steps):
+            return quasitrivial.NoInterruptReport(ok=False, failed_at=x, checked=x + 1)
+    return quasitrivial.NoInterruptReport(ok=True, failed_at=None, checked=upper + 1)
 
 
 def reference_to_trits(n: int) -> str:

@@ -46,6 +46,31 @@ def test_subcommand_matches_golden(capsys, golden_name, argv):
     assert out == (GOLDEN / golden_name).read_text(encoding="utf-8")
 
 
+def test_qt_verify_at_the_config_ceiling_matches_golden(capsys, tmp_path):
+    config = tmp_path / "bgslab.conf"
+    config.write_text("k_max=64\n")
+    rc, out, _ = run_cli(capsys, ["--config", str(config), "qt", "verify",
+                                  "--cutoffs", "60..64", "--format", "csv"])
+    assert rc == 0
+    assert out == (GOLDEN / "qt_verify_60_64.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden_name,extra", [
+    ("run_trace_29.txt", []),
+    ("run_trace_29_clock_1_1.txt", ["--clock", "1,1"]),  # interrupted after 5 steps
+])
+def test_run_trace_matches_golden(capsys, tmp_path, golden_name, extra):
+    # the cutoff-29 machine writes witness 1 back for input 29, walking left
+    # into cell 0
+    machine = tmp_path / "m.tm"
+    assert cli.main(["qt", "build", "--cutoff", "29", "--out", str(machine)]) == 0
+    capsys.readouterr()
+    rc, _, err = run_cli(capsys, ["run", "--machine", str(machine), "--input", "29",
+                                  "--trace"] + extra)
+    assert rc == 0
+    assert err == (GOLDEN / golden_name).read_text(encoding="utf-8")
+
+
 def test_cnf_encode_from_dimacs_file(capsys, tmp_path):
     path = tmp_path / "f.cnf"
     path.write_text(DIMACS_TWO_CLAUSE)

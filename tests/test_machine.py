@@ -28,7 +28,10 @@ from bgslab.machine import (
     step_limit,
 )
 
+from bgslab.quasitrivial import build_qt
+
 from helpers import (ERASER, LOOPER, SCANNER, random_table, reference_decode_machine,
+                     reference_run, reference_run_clocked, reference_simulate,
                      reference_to_trits)
 
 
@@ -188,6 +191,115 @@ def test_step_limit_equals_the_dyadic_string_rules():
             assert step_limit(clock, x) == (None if unlimited else bound)
 
 
+# --- the step-table simulator against the literal one ------------------------
+
+def traced(fn, *args):
+    """fn(*args, on_step) and the list of its on_step calls."""
+    trace = []
+    result = fn(*args, lambda *call: trace.append(call))
+    return result, trace
+
+
+def assert_engines_agree(table, x, fuel, clock):
+    halted, steps, tape = machine._simulate(table, x, fuel)
+    assert (halted, steps, list(tape)) == reference_simulate(table, x, fuel)
+    assert traced(run, table, x, fuel) == traced(reference_run, table, x, fuel)
+    assert (traced(run_clocked, table, clock, x)
+            == traced(reference_run_clocked, table, clock, x))
+
+
+# moves left at cell 0 (and stays there) on a first 0 or on empty input,
+# then walks right writing 1s, past the input's end to one cell beyond it,
+# where an explicit HALT transition writes the last 1
+WALK_OUT = TransitionTable(3, {
+    (0, 0): Transition(1, 1, MOVE_L),
+    (0, 1): Transition(1, 1, MOVE_R),
+    (0, BLANK): Transition(1, 1, MOVE_L),
+    (1, 0): Transition(1, 1, MOVE_R),
+    (1, 1): Transition(1, 1, MOVE_R),
+    (1, BLANK): Transition(2, 1, MOVE_R),
+    (2, BLANK): Transition(HALT, 1, MOVE_L),
+})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 4095), st.integers(1, 300),
+       st.integers(1, 3), st.integers(1, 30))
+def test_simulator_equals_literal_engine_on_random_tables(seed, x, fuel, a, b):
+    table = random_table(random.Random(seed))
+    assert_engines_agree(table, x, fuel, ClockSpec(a, b))
+
+
+@pytest.mark.parametrize("table", [NULL_MACHINE, ERASER, LOOPER, SCANNER, WALK_OUT],
+                         ids=["null", "eraser", "looper", "scanner", "walk-out"])
+def test_simulator_equals_literal_engine_on_handmade_tables(table):
+    for x in range(70):
+        for fuel in (1, 2, 5, 40):
+            assert_engines_agree(table, x, fuel, ClockSpec(1 + x % 3, fuel))
+
+
+def test_walk_out_moves_left_at_cell_0_and_writes_past_the_input():
+    result, trace = traced(run, WALK_OUT, 1, 100)  # input "0"
+    assert [head for _, _, head, _ in trace] == [0, 0, 1, 2]
+    assert result == RunResult(output=codec.from_dyadic("111"), steps=4)
+    assert len(machine._simulate(WALK_OUT, 1, 100)[2]) == 3
+
+
+def test_a_limit_at_the_halting_step_is_a_halt():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        table, x = random_table(rng), rng.randint(0, 255)
+        free = reference_run(table, x, 500)
+        if not free.halted or free.steps == 0:
+            continue
+        checked += 1
+        s, length = free.steps, len(codec.to_dyadic(x))
+        clock = ClockSpec(1, max(1, s - length))  # bound |x| + s - |x| = s when s > |x|
+        assert_engines_agree(table, x, s, clock)
+        assert run(table, x, s) == free
+        if s > length:
+            assert run_clocked(table, clock, x) == free
+        if s > 1:
+            assert run(table, x, s - 1).fuel_exhausted
+    assert checked > 100
+
+
+def test_no_step_limit_equals_literal_engine_on_halting_tables():
+    rng = random.Random(12)
+    unlimited = ClockSpec(64, 1)
+    checked = 0
+    for _ in range(300):
+        table, x = random_table(rng), rng.randint(3, 255)  # |x| >= 2
+        if not reference_run(table, x, 500).halted:
+            continue
+        checked += 1
+        assert step_limit(unlimited, x) is None
+        assert (traced(run_clocked, table, unlimited, x)
+                == traced(reference_run_clocked, table, unlimited, x))
+    assert checked > 100
+
+
+def test_simulator_equals_literal_engine_on_a_decoded_cutoff_table():
+    q = build_qt(400, k_max=400)
+    table = decode_machine(q.m)
+    for x in list(range(0, 600, 3)) + [2 ** 9 - 1, 2 ** 10 - 2, 2 ** 12]:
+        assert_engines_agree(table, x, 400, ClockSpec(2, 30))
+
+
+def test_the_step_table_has_rows_for_states_with_transitions_only():
+    # a state number of 2^40 costs one row, not 2^40
+    top = 2 ** 40
+    table = TransitionTable(top + 1, {
+        (0, BLANK): Transition(top, 1, MOVE_R),
+        (top, BLANK): Transition(top - 1, 0, MOVE_L),
+    })
+    assert len(table.step_table) == 9  # states 0 and 2^40, and the halting row
+    result, trace = traced(run, table, 0, 10)
+    assert result == RunResult(output=codec.from_dyadic("10"), steps=2)
+    assert trace == [(0, 0, 0, BLANK), (1, top, 1, BLANK)]
+
+
 # --- numbering ---------------------------------------------------------------
 
 def test_zero_decodes_to_null_machine():
@@ -236,6 +348,36 @@ def test_to_trits_equals_digit_loop_at_length_boundaries(length, offset):
     n = (3 ** length - 1) // 2 + offset
     if n >= 0:
         assert machine._to_trits(n) == reference_to_trits(n)
+
+
+def assert_trits_of_length(length: int, rng: random.Random) -> None:
+    # the least number with `length` digits is all 0s, the largest all 2s
+    low = (3 ** length - 1) // 2
+    high = (3 ** (length + 1) - 1) // 2 - 1
+    assert machine._to_trits(low) == "0" * length
+    assert machine._to_trits(high) == "2" * length
+    n = rng.randint(low, high)
+    assert machine._to_trits(n) == reference_to_trits(n)
+
+
+@pytest.mark.parametrize("j", range(14))
+def test_to_trits_equals_digit_loop_at_leaf_count_boundaries(j):
+    # 6 * 2^j digits fill 2^j leaves of 6; one more needs 2^(j+1) leaves
+    rng = random.Random(j)
+    for length in (6 * 2 ** j - 1, 6 * 2 ** j, 6 * 2 ** j + 1):
+        assert_trits_of_length(length, rng)
+
+
+def test_to_trits_equals_digit_loop_at_every_leaf_width():
+    # 2^j leaves of w = ceil(L / 2^j) digits: L in (3 * 2^j, 4 * 2^j] gives
+    # w = 4, then 5, then 6, each with and without padding digits
+    rng = random.Random(5)
+    widths = set()
+    for j in range(1, 8):
+        for length in range(3 * 2 ** j + 1, 6 * 2 ** j + 1, max(1, 2 ** j // 4)):
+            widths.add(-(-length // 2 ** j))
+            assert_trits_of_length(length, rng)
+    assert widths == {4, 5, 6}
 
 
 def test_to_trits_equals_digit_loop_on_small_numbers():

@@ -1,12 +1,15 @@
 """Cutoff-machine compiler, embedding, and the lemma's checkable content."""
 
+import random
+
 import pytest
 
 from bgslab import bgs, codec, machine, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_decode, unpair
-from bgslab.machine import ClockSpec, decode_machine, encode_machine, run, run_clocked
+from bgslab.machine import (BLANK, HALT, MOVE_R, ClockSpec, Transition, TransitionTable,
+                            decode_machine, encode_machine, run, run_clocked)
 
-from helpers import LOOPER
+from helpers import LOOPER, random_table, reference_no_interrupt
 
 KS = range(11)
 
@@ -148,6 +151,55 @@ def test_no_interrupt_detects_a_slow_machine():
     fake = qt.EmbeddingRecord(m=m, k=0, b_m=1, n=codec.triple_encode(m, 2, 1))
     report = qt.verify_no_interrupt(fake, 50)
     assert not report.ok and report.failed_at == 0
+
+
+def fake_record(table: TransitionTable, b_m: int, k: int = 0) -> qt.EmbeddingRecord:
+    m = encode_machine(table)
+    return qt.EmbeddingRecord(m=m, k=k, b_m=b_m, n=codec.triple_encode(m, 2, b_m))
+
+
+def test_no_interrupt_equals_the_two_run_form_on_compiled_records():
+    for k in range(65):
+        record = qt.embed(qt.build_qt(k, k_max=64))
+        assert qt.verify_no_interrupt(record) == reference_no_interrupt(record)
+
+
+def test_no_interrupt_equals_the_two_run_form_on_fakes(records):
+    crippled = qt.EmbeddingRecord(m=records[3].m, k=3, b_m=1,
+                                  n=codec.triple_encode(records[3].m, 2, 1))
+    looper = fake_record(LOOPER, 1)
+    for record in (crippled, looper):
+        for window in (0, 1, 50, 100):
+            assert (qt.verify_no_interrupt(record, window)
+                    == reference_no_interrupt(record, window))
+
+
+def test_no_interrupt_equals_the_two_run_form_on_random_tables():
+    rng = random.Random(3)
+    verdicts = set()
+    for b_m in range(1, 31):
+        for _ in range(3):
+            record = fake_record(random_table(rng), b_m, k=rng.randint(0, 40))
+            report = qt.verify_no_interrupt(record, 30)
+            assert report == reference_no_interrupt(record, 30)
+            verdicts.add(report.ok)
+    assert verdicts == {True, False}
+
+
+def chain(length: int) -> TransitionTable:
+    """Moves right `length` times whatever it reads, the last time into HALT."""
+    return TransitionTable(length, {
+        (q, sym): Transition(q + 1 if q + 1 < length else HALT, sym, MOVE_R)
+        for q in range(length) for sym in (0, 1, BLANK)})
+
+
+@pytest.mark.parametrize("form", [qt.verify_no_interrupt, reference_no_interrupt],
+                         ids=["one-run", "two-run"])
+def test_a_run_past_the_measuring_fuel_fails(monkeypatch, form):
+    monkeypatch.setattr(qt, "_MEASURE_FUEL", 12)
+    # a clock of 1000 steps and more never interrupts a 13-step run
+    assert form(fake_record(chain(12), 1000), 20) == qt.NoInterruptReport(True, None, 21)
+    assert form(fake_record(chain(13), 1000), 20) == qt.NoInterruptReport(False, 0, 1)
 
 
 # --- crucial step ---------------------------------------------------------------
