@@ -68,7 +68,6 @@ import bisect
 import enum
 import heapq
 import json
-import logging
 import os
 import threading
 from dataclasses import dataclass
@@ -84,8 +83,6 @@ from .machine import (
     run_clocked,
     step_limit,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -263,10 +260,11 @@ def counterexample(index: BgsIndex, budget: int,
         raise ValueError("budget must be >= 1")
     start = 0
     if cache is not None:
-        hit = cache.lookup(index.n, budget)
+        key = str(index.n)  # the cache's key, converted once per search
+        hit = cache.lookup(key, budget)
         if hit is not None:
             return hit
-        start = cache.resume_from(index.n)
+        start = cache.resume_from(key)
     table, witnesses = index.table(), _TABLE
     answer = table.answer
     if answer is not None and answer[2] is witnesses and index.b >= answer[1]:
@@ -274,7 +272,7 @@ def counterexample(index: BgsIndex, budget: int,
     else:
         result = _walk(table, index.clock, witnesses, start, budget)
     if cache is not None:
-        cache.record(index.n, result)
+        cache.record(key, result)
     return result
 
 
@@ -320,6 +318,13 @@ class ResultCache:
     natural n, and it is either found with a natural z or exhausted with
     an integer bound upto >= 1.
 
+    Keys stay the file's canonical decimal text: an index n is converted
+    to its decimal once where it enters (`lookup`, `resume_from`, `record`
+    take n or that text), and the file's keys are neither parsed to ints
+    on load nor formatted again on save.  The indices of cutoff machines
+    run to thousands of digits, and converting one costs time quadratic
+    in its length.
+
     Saving merges: `save` reads the file again and keeps the stronger
     entry per index, so two scans sharing a cache keep each other's
     entries.  There is no lock: an entry saved by another process between
@@ -337,8 +342,8 @@ class ResultCache:
     """
 
     def __init__(self):
-        self._found: dict[int, int] = {}
-        self._exhausted: dict[int, int] = {}
+        self._found: dict[str, int] = {}  # decimal key -> least witness z
+        self._exhausted: dict[str, int] = {}  # decimal key -> exhausted bound
         self._seen: tuple[int, int] | None = None  # digest of the content last read or written
         self._news = False  # whether that content differs from this cache
 
@@ -358,11 +363,11 @@ class ResultCache:
         try:
             maps = _parse(data)
         except ValueError as e:
-            log.warning("ignoring corrupt cache %s: %s", path, e)
+            _warn("ignoring corrupt cache %s: %s", path, e)
             maps = None
         else:
             if maps is None:
-                log.warning("cache %s has mismatched versions; starting empty", path)
+                _warn("cache %s has mismatched versions; starting empty", path)
         if maps is None:
             self._news = True  # a save must replace the file
         elif self._found or self._exhausted:
@@ -403,18 +408,19 @@ class ResultCache:
     def _encode(self) -> bytes:
         """The file content for this cache: what json.dump(data, fh,
         indent=2, sort_keys=True) writes, plus a newline."""
-        entries = [b'    "%d": {\n      "status": "found",\n      "z": %d\n    }' % item
+        entries = ['    "%s": {\n      "status": "found",\n      "z": %d\n    }' % item
                    for item in self._found.items()]
-        entries += [b'    "%d": {\n      "status": "exhausted",\n      "upto": %d\n    }' % item
+        entries += ['    "%s": {\n      "status": "exhausted",\n      "upto": %d\n    }' % item
                     for item in self._exhausted.items()]
         if not entries:
-            return b"".join((_HEAD, b"{}", _TAIL))
+            return "".join((_HEAD, "{}", _TAIL)).encode()
         # sorting the entries sorts their keys as strings, "10" before "9":
         # the quote closing a key sorts below every digit
         entries.sort()
-        return b"".join((_HEAD, b"{\n", b",\n".join(entries), b"\n  }", _TAIL))
+        return "".join((_HEAD, "{\n", ",\n".join(entries), "\n  }", _TAIL)).encode()
 
-    def lookup(self, n: int, budget: int) -> CounterexampleResult | None:
+    def lookup(self, n: int | str, budget: int) -> CounterexampleResult | None:
+        n = str(n)
         z = self._found.get(n)
         if z is not None:
             return _least_is(z, budget)
@@ -423,17 +429,18 @@ class ResultCache:
             return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
         return None
 
-    def resume_from(self, n: int) -> int:
-        return self._exhausted.get(n, 0)
+    def resume_from(self, n: int | str) -> int:
+        return self._exhausted.get(str(n), 0)
 
-    def record(self, n: int, result: CounterexampleResult) -> None:
+    def record(self, n: int | str, result: CounterexampleResult) -> None:
         self._merge(n, result.z if result.found else None, result.budget)
         self._news = True
 
-    def _merge(self, n: int, z: int | None, upto: int) -> None:
+    def _merge(self, n: int | str, z: int | None, upto: int) -> None:
         """Add the least witness z of n, or, when z is None, its exhaustion
         below upto: a found entry beats an exhausted one, and the larger
         exhausted bound wins."""
+        n = str(n)
         if z is not None:
             self._found[n] = z
             self._exhausted.pop(n, None)
@@ -442,8 +449,8 @@ class ResultCache:
 
 
 # the cache file's fixed text around its entries, as json.dump writes it
-_HEAD = b'{\n  "codec_version": %s,\n  "entries": ' % json.dumps(CODEC_VERSION).encode()
-_TAIL = b',\n  "machine_encoding_version": %s\n}\n' % json.dumps(MACHINE_ENCODING_VERSION).encode()
+_HEAD = '{\n  "codec_version": %s,\n  "entries": ' % json.dumps(CODEC_VERSION)
+_TAIL = ',\n  "machine_encoding_version": %s\n}\n' % json.dumps(MACHINE_ENCODING_VERSION)
 
 
 def _read_bytes(path) -> bytes | None:
@@ -455,15 +462,21 @@ def _read_bytes(path) -> bytes | None:
     except FileNotFoundError:
         return None
     except OSError as e:
-        log.warning("ignoring corrupt cache %s: %s", path, e)
+        _warn("ignoring corrupt cache %s: %s", path, e)
         return None
+
+
+def _warn(message: str, *args) -> None:
+    # importing logging takes milliseconds, which only a warning pays
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _digest(data: bytes) -> tuple[int, int]:
     return len(data), hash(data)
 
 
-def _parse(data: bytes) -> tuple[dict[int, int], dict[int, int]] | None:
+def _parse(data: bytes) -> tuple[dict[str, int], dict[str, int]] | None:
     """The found and exhausted maps of a cache file's content, or None when
     it was written under other versions; ValueError when it is malformed."""
     doc = json.loads(data.decode("utf-8"))
@@ -475,8 +488,8 @@ def _parse(data: bytes) -> tuple[dict[int, int], dict[int, int]] | None:
     entries = doc.get("entries", {})
     if not isinstance(entries, dict):
         raise ValueError("entries is not an object")
-    found: dict[int, int] = {}
-    exhausted: dict[int, int] = {}
+    found: dict[str, int] = {}
+    exhausted: dict[str, int] = {}
     for key, entry in entries.items():
         if not (key.isascii() and key.isdigit()) or (key[0] == "0" and len(key) > 1):
             raise ValueError(f"key {key!r} is not the decimal of a natural")
@@ -485,12 +498,12 @@ def _parse(data: bytes) -> tuple[dict[int, int], dict[int, int]] | None:
             z = entry.get("z")
             if type(z) is not int or z < 0:  # bool is an int subclass
                 raise ValueError(f"entry {key}: z {z!r} is not a natural")
-            found[int(key)] = z
+            found[key] = z
         elif status == "exhausted":
             upto = entry.get("upto")
             if type(upto) is not int or upto < 1:
                 raise ValueError(f"entry {key}: upto {upto!r} is not a positive integer")
-            exhausted[int(key)] = upto
+            exhausted[key] = upto
         else:
             raise ValueError(f"entry {key} has no status found or exhausted")
     return found, exhausted

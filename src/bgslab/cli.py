@@ -10,13 +10,11 @@ runs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
 
-from . import bgs, quasitrivial, sat
+from . import bgs, sat
 from .codec import (
     CODEC_VERSION,
     decode_cnf,
@@ -150,6 +148,8 @@ def _emit_report(report: dict, rows: list[dict], fmt: str, out: str | None) -> N
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if rows:
@@ -362,6 +362,7 @@ def cmd_bgs_scan(args, cfg):
 
 
 def cmd_qt_build(args, cfg):
+    from . import quasitrivial
     q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
     text = format_machine_file(q.table)
     if args.out is None:
@@ -382,6 +383,7 @@ def cmd_qt_build(args, cfg):
 
 
 def cmd_qt_embed(args, cfg):
+    from . import quasitrivial
     q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
     record = quasitrivial.embed(q)
     row = {"k": record.k, "m": record.m, "b_m": record.b_m, "N": record.n}
@@ -391,6 +393,7 @@ def cmd_qt_embed(args, cfg):
 
 
 def cmd_qt_verify(args, cfg):
+    from . import quasitrivial
     cache, cache_path = _load_cache(args, cfg)
     cutoffs = _parse_range(args.cutoffs, cfg.k_max)
     checks = quasitrivial.lemma_check(cutoffs, budget=args.budget,
@@ -532,13 +535,21 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except (UsageError, quasitrivial.CutoffTooLargeError, sat.WidthExceededError,
-            OSError) as e:  # OSError: a cache or report file that cannot be written
+    except (UsageError, sat.WidthExceededError, OSError,
+            *_quasitrivial_errors("CutoffTooLargeError")) as e:
+        # OSError: a cache or report file that cannot be written
         print(f"bgslab: {e}", file=sys.stderr)
         return 2
-    except quasitrivial.BudgetTooSmallError as e:
+    except _quasitrivial_errors("BudgetTooSmallError") as e:
         print(f"bgslab: {e}", file=sys.stderr)
         return 1
+
+
+def _quasitrivial_errors(*names: str) -> tuple[type[Exception], ...]:
+    """The named exception classes of `quasitrivial`, or none when no
+    command loaded it, in which case none of them can have been raised."""
+    module = sys.modules.get(f"{__package__}.quasitrivial")
+    return () if module is None else tuple(getattr(module, name) for name in names)
 
 
 if __name__ == "__main__":

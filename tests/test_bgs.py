@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 import tempfile
 from math import isqrt
 from pathlib import Path
@@ -766,6 +767,38 @@ def test_a_save_without_news_keeps_another_writers_entries(tmp_path):
     idle.save(path)  # no news of its own, but the file changed since its load
     assert bgs.ResultCache.load(path).lookup(ix.n, 200) == found
     assert idle.lookup(ix.n, 200) == found
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit on int-str conversions, which the package
+    lifts on import, for the length of one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-str conversion limit")
+    lifted = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(lifted)
+
+
+def test_a_key_above_the_default_digit_limit_survives_load_and_save(
+        tmp_path, caplog, default_digit_limit):
+    big = "9" + "1" * 5388  # as long as the index of the cutoff-64 machine
+    path = tmp_path / "cache.json"
+    path.write_text(cache_file({big: {"status": "found", "z": 93},
+                                "1": {"status": "exhausted", "upto": 40}}))
+    cache = bgs.ResultCache.load(path)
+    assert cache.lookup(1, 40) is not None
+    ix = index_for(ERASER)
+    found = bgs.counterexample(ix, 200, cache)
+    cache.save(path)
+    assert not any("corrupt" in rec.message for rec in caplog.records)
+    text = path.read_text()
+    assert f'\n    "{big}": {{\n      "status": "found",\n      "z": 93\n    }}' in text
+    assert json.loads(text)["entries"] == {
+        big: {"status": "found", "z": 93}, "1": {"status": "exhausted", "upto": 40},
+        str(ix.n): {"status": "found", "z": found.z}}
+    assert path.read_bytes() == reference_cache_bytes(cache)
 
 
 naturals = st.one_of(st.integers(0, 200), st.integers(0, 10 ** 7),
