@@ -3,7 +3,9 @@ the budgeted least-counterexample search.
 
 An index n names the machine-clock pair (decode_machine(m), C_(a,b)) with
 (m, a, b) = triple_decode(n).  Decoded zeros for a or b are lifted to 1 so
-that every natural is a legal index and the set stays total.
+that every natural is a legal index and the set stays total.  A BgsIndex
+is an immutable named tuple (n, m, a, b): it equals, hashes and unpacks
+as that plain tuple, and building one from n costs only the decoding.
 
 The least counterexample of an index is the least z = (x, y) = unpair(z)
 whose y satisfies x while the indexed machine's output on x does not; an
@@ -70,6 +72,7 @@ import heapq
 import json
 import os
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,24 +88,32 @@ from .machine import (
 )
 
 
-@dataclass(frozen=True)
-class BgsIndex:
-    n: int
-    m: int
-    a: int
-    b: int
+class BgsIndex(namedtuple("BgsIndex", "n m a b")):
+    """The index n with its decoded fields: machine code m, clock (a, b).
 
-    def __post_init__(self):
+    An immutable named tuple, so an index equals the plain tuple
+    (n, m, a, b), hashes as it does and unpacks into its four fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, a: int, b: int) -> "BgsIndex":
         # the clock's fields, checked here because a search answered from
         # its table's memo reads b without building the clock
-        if self.a < 1 or self.b < 1:
+        if a < 1 or b < 1:
             raise ValueError("clock exponents and offsets must be >= 1")
+        return tuple.__new__(cls, (n, m, a, b))
+
+    @classmethod
+    def _make(cls, iterable) -> "BgsIndex":
+        # namedtuple's _make and _replace skip __new__; keep the check
+        return cls(*iterable)
 
     @classmethod
     def from_natural(cls, n: int) -> "BgsIndex":
         m, a, b = triple_decode(n)
-        # the clock requires positive exponent and offset; lift zeros
-        return cls(n, m, a or 1, b or 1)
+        # the clock requires positive exponent and offset; lifting zeros
+        # satisfies __new__'s check, so the tuple is built directly
+        return tuple.__new__(cls, (n, m, a or 1, b or 1))
 
     @property
     def clock(self) -> ClockSpec:

@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import bgs, sat
 from .codec import (
     CODEC_VERSION,
     decode_cnf,
@@ -34,6 +34,9 @@ from .machine import (
     run,
     run_clocked,
 )
+
+if TYPE_CHECKING:  # for annotations; the handlers import it, so codec commands never load it
+    from . import bgs
 
 VERSION_TAGS = {
     "codecVersion": CODEC_VERSION,
@@ -178,6 +181,7 @@ def _load_cache(args, cfg: Config) -> tuple[bgs.ResultCache | None, str | None]:
     path = getattr(args, "cache", None) or cfg.cache_path
     if path is None:
         return None, None
+    from . import bgs
     return bgs.ResultCache.load(path), path
 
 
@@ -255,6 +259,7 @@ def cmd_run(args, cfg):
 
 
 def cmd_sat_verify(args, cfg):
+    from . import sat
     if args.z is not None:
         if args.x is not None or args.y is not None:
             raise UsageError("give either --z or both --x and --y")
@@ -270,6 +275,7 @@ def cmd_sat_verify(args, cfg):
 
 
 def cmd_sat_decide(args, cfg):
+    from . import sat
     if (args.x is None) == (args.dimacs is None):
         raise UsageError("give exactly one of --x or --dimacs")
     if args.dimacs is not None:
@@ -295,6 +301,7 @@ def cmd_sat_decide(args, cfg):
 
 
 def cmd_bgs_run(args, cfg):
+    from . import bgs
     index = bgs.BgsIndex.from_natural(args.index)
     result = bgs.bgs_run(index, args.input)
     _print_json({
@@ -320,6 +327,7 @@ def _counterexample_row(index: bgs.BgsIndex, result: bgs.CounterexampleResult) -
 
 
 def cmd_bgs_counterexample(args, cfg):
+    from . import bgs
     cache, cache_path = _load_cache(args, cfg)
     budget = args.budget if args.budget is not None else cfg.budget_default
     index = bgs.BgsIndex.from_natural(args.index)
@@ -333,6 +341,7 @@ def cmd_bgs_counterexample(args, cfg):
 
 
 def cmd_bgs_scan(args, cfg):
+    from . import bgs
     cache, cache_path = _load_cache(args, cfg)
     budget = args.budget if args.budget is not None else cfg.budget_default
     if args.to < args.start:
@@ -341,12 +350,11 @@ def cmd_bgs_scan(args, cfg):
     found = 0
     for n in range(args.start, args.to + 1):
         index = bgs.BgsIndex.from_natural(n)
-        begin = time.monotonic()
+        begin = time.monotonic() if args.timings else 0.0
         result = bgs.counterexample(index, budget, cache)
-        elapsed_ms = int((time.monotonic() - begin) * 1000)
         row = _counterexample_row(index, result)
         if args.timings:
-            row["millis"] = elapsed_ms
+            row["millis"] = int((time.monotonic() - begin) * 1000)
         rows.append(row)
         found += 1 if result.found else 0
     if cache is not None and cache_path is not None:
@@ -535,21 +543,21 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except (UsageError, sat.WidthExceededError, OSError,
-            *_quasitrivial_errors("CutoffTooLargeError")) as e:
+    except (UsageError, OSError, *_loaded_errors("sat", "WidthExceededError"),
+            *_loaded_errors("quasitrivial", "CutoffTooLargeError")) as e:
         # OSError: a cache or report file that cannot be written
         print(f"bgslab: {e}", file=sys.stderr)
         return 2
-    except _quasitrivial_errors("BudgetTooSmallError") as e:
+    except _loaded_errors("quasitrivial", "BudgetTooSmallError") as e:
         print(f"bgslab: {e}", file=sys.stderr)
         return 1
 
 
-def _quasitrivial_errors(*names: str) -> tuple[type[Exception], ...]:
-    """The named exception classes of `quasitrivial`, or none when no
-    command loaded it, in which case none of them can have been raised."""
-    module = sys.modules.get(f"{__package__}.quasitrivial")
-    return () if module is None else tuple(getattr(module, name) for name in names)
+def _loaded_errors(module: str, *names: str) -> tuple[type[Exception], ...]:
+    """The named exception classes of the submodule `module`, or none when
+    no command loaded it, in which case none of them can have been raised."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else tuple(getattr(loaded, name) for name in names)
 
 
 if __name__ == "__main__":

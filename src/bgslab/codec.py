@@ -69,9 +69,17 @@ def triple_encode(m: int, a: int, b: int) -> int:
 
 
 def triple_decode(n: int) -> tuple[int, int, int]:
-    m, ab = unpair(n)
-    a, b = unpair(ab)
-    return m, a, b
+    """Inverse of triple_encode: (m, a, b) with n = pair(m, pair(a, b)).
+
+    Both unpairings in one body, so n is checked once; ab = n - w(w+1)/2
+    is a natural for every natural n, so it needs no check of its own."""
+    if n < 0:
+        raise ValueError(f"expected a natural number, got {n}")
+    w = (isqrt(8 * n + 1) - 1) // 2
+    ab = n - w * (w + 1) // 2
+    v = (isqrt(8 * ab + 1) - 1) // 2
+    b = ab - v * (v + 1) // 2
+    return w - ab, v - b, b
 
 
 def seq_encode(items: Iterable[int]) -> int:

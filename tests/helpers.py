@@ -177,6 +177,14 @@ def reference_decode_machine(m: int) -> TransitionTable:
     return TransitionTable(state_count=max_state + 1, transitions=transitions)
 
 
+def reference_triple_decode(n: int) -> tuple[int, int, int]:
+    """The literal inverse of triple_encode that `codec.triple_decode`
+    replaces: unpair n as (m, ab), then unpair ab as (a, b)."""
+    m, ab = unpair(n)
+    a, b = unpair(ab)
+    return m, a, b
+
+
 def reference_counterexample(index: BgsIndex, budget: int) -> CounterexampleResult:
     """The literal z-order mu-search that `bgs.counterexample` replaces: the
     least z < budget that V accepts while the machine's output on x fails,

@@ -19,7 +19,7 @@ from bgslab.machine import (BLANK, HALT, MOVE_R, NULL_MACHINE, ClockSpec, Transi
 
 from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN,
                      random_table, reference_cache_bytes, reference_counterexample,
-                     reference_load)
+                     reference_load, reference_triple_decode)
 
 
 def index_for(table, a=1, b=2) -> bgs.BgsIndex:
@@ -71,7 +71,7 @@ def test_zero_clock_fields_are_lifted_to_one():
 
 def lifted_triple(n: int) -> tuple[int, int, int, int]:
     """The literal index of n: its triple with zero clock fields lifted to 1."""
-    m, a, b = codec.triple_decode(n)
+    m, a, b = reference_triple_decode(n)
     return n, m, max(a, 1), max(b, 1)
 
 
@@ -97,6 +97,43 @@ def test_from_natural_equals_the_lifted_triple_on_large_numbers(bits, seed, a, b
 def test_a_hand_built_index_needs_a_positive_clock(a, b):
     with pytest.raises(ValueError):
         bgs.BgsIndex(n=triple_encode(3, max(a, 0), b), m=3, a=a, b=b)
+
+
+def test_an_index_repr_names_its_fields():
+    assert repr(bgs.BgsIndex.from_natural(699)) == "BgsIndex(n=699, m=3, a=2, b=5)"
+
+
+@pytest.mark.parametrize("field", ["n", "m", "a", "b"])
+def test_an_index_field_cannot_be_assigned(field):
+    ix = bgs.BgsIndex.from_natural(699)
+    with pytest.raises(AttributeError):
+        setattr(ix, field, 7)
+    with pytest.raises(AttributeError):
+        ix.extra = 7  # no instance dict either
+    assert ix == bgs.BgsIndex.from_natural(699)
+
+
+def test_an_index_is_built_by_keyword_and_equal_and_hashed_by_its_fields():
+    by_keyword = bgs.BgsIndex(n=699, m=3, a=2, b=5)
+    decoded = bgs.BgsIndex.from_natural(699)
+    assert by_keyword == decoded and hash(by_keyword) == hash(decoded)
+    assert by_keyword is not decoded
+    assert len({by_keyword, decoded, bgs.BgsIndex(3, 3, 2, 5)}) == 2
+    assert by_keyword != bgs.BgsIndex(n=699, m=3, a=2, b=6)
+
+
+def test_an_index_equals_and_unpacks_as_its_plain_tuple():
+    ix = bgs.BgsIndex.from_natural(699)
+    assert ix == (699, 3, 2, 5) and hash(ix) == hash((699, 3, 2, 5))
+    n, m, a, b = ix
+    assert (n, m, a, b) == (ix.n, ix.m, ix.a, ix.b)
+
+
+def test_replacing_a_field_keeps_the_positive_clock_check():
+    ix = bgs.BgsIndex.from_natural(699)
+    assert ix._replace(b=9) == (699, 3, 2, 9)
+    with pytest.raises(ValueError):
+        ix._replace(a=0)
 
 
 # --- runs and predicates -----------------------------------------------------

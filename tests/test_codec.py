@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bgslab import codec
+
+from helpers import reference_triple_decode
 
 
 # --- oracles -----------------------------------------------------------------
@@ -134,6 +137,37 @@ def test_triple_injective_up_to_20():
 def test_triple_decode_total_and_inverse(n):
     m, a, b = codec.triple_decode(n)
     assert codec.triple_encode(m, a, b) == n
+
+
+def test_triple_decode_equals_the_two_unpairings_on_an_initial_segment():
+    for n in range(10 ** 5):
+        assert codec.triple_decode(n) == reference_triple_decode(n), n
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 4000), st.integers(0, 2 ** 32))
+def test_triple_decode_equals_the_two_unpairings_on_large_numbers(bits, seed):
+    n = random.Random(seed).getrandbits(bits)
+    assert codec.triple_decode(n) == reference_triple_decode(n)
+
+
+def triangular(w: int) -> int:
+    return w * (w + 1) // 2
+
+
+def test_triple_decode_at_the_diagonal_boundaries():
+    # each unpairing turns to the next diagonal at a triangular number:
+    # around w(w+1)/2 as n itself, and as its second part ab
+    for w in (*range(1, 40), *(2 ** k + d for k in (10, 64, 1000, 2000) for d in (-1, 0, 1))):
+        for t in (triangular(w) - 1, triangular(w), triangular(w) + 1):
+            for n in (t, codec.pair(w, t), codec.pair(0, t), codec.pair(t, 0)):
+                assert codec.triple_decode(n) == reference_triple_decode(n), (w, t)
+
+
+@pytest.mark.parametrize("n", [-1, -2, -(10 ** 30)])
+def test_triple_decode_rejects_a_negative_number(n):
+    with pytest.raises(ValueError, match="natural number"):
+        codec.triple_decode(n)
 
 
 # --- sequences ---------------------------------------------------------------
