@@ -3,9 +3,10 @@ the budgeted least-counterexample search.
 
 An index n names the machine-clock pair (decode_machine(m), C_(a,b)) with
 (m, a, b) = triple_decode(n).  Decoded zeros for a or b are lifted to 1 so
-that every natural is a legal index and the set stays total.  A BgsIndex
-is an immutable named tuple (n, m, a, b): it equals, hashes and unpacks
-as that plain tuple, and building one from n costs only the decoding.
+that every natural is a legal index and the set stays total.  A BgsIndex,
+like every record of the package but a TransitionTable, is an immutable
+named tuple, here (n, m, a, b): it equals, hashes and unpacks as that
+plain tuple, and building one from n costs only the decoding.
 
 The least counterexample of an index is the least z = (x, y) = unpair(z)
 whose y satisfies x while the indexed machine's output on x does not; an
@@ -73,8 +74,8 @@ import json
 import os
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import sat
 from .codec import CODEC_VERSION, decode_cnf, pair, triple_decode, unpair
@@ -146,8 +147,7 @@ class CounterexampleStatus(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class CounterexampleResult:
+class CounterexampleResult(NamedTuple):
     status: CounterexampleStatus
     z: int | None  # least witness when found
     scanned: int  # z + 1 when found, else the budget: the z range settled
@@ -312,7 +312,7 @@ def _walk(table: TransitionTable, clock: ClockSpec, witnesses: _WitnessTable,
         if fails:
             if settled:
                 # any two answers from one witness table are equal
-                object.__setattr__(table, "answer", (z, most, witnesses))
+                table.answer = (z, most, witnesses)
             return _least_is(z, budget)
     return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
 

@@ -24,10 +24,9 @@ needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 CODEC_VERSION = "dyadic-cantor-1"
 
@@ -99,8 +98,7 @@ def seq_decode(n: int) -> list[int]:
     return items
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(NamedTuple):
     """A CNF formula as a tuple of clauses, each a tuple of signed variables.
 
     Literals are nonzero integers; +v asserts variable v, -v its negation,

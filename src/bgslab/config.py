@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 OUTPUT_FORMATS = ("json", "csv", "table")
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     budget_default: int = 10_000
     k_max: int = 32
     var_count_max: int = 20
@@ -30,14 +29,13 @@ class Config:
 
 
 def load_config(path: str | None = None, env: dict | None = None) -> Config:
-    """Read `key=value` lines; BGSLAB_CACHE overrides the cache path.
+    """Read `key=value` lines; a nonempty BGSLAB_CACHE overrides the cache path.
 
     A `#` at the start of a line or value, or after whitespace, starts a
     comment; a `#` inside a token (`/tmp/a#b`) is part of the value."""
     env = os.environ if env is None else env
-    cfg = Config()
+    values = {}
     if path is not None:
-        int_fields = {f.name for f in fields(Config) if f.type == "int"}
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.strip()
@@ -47,9 +45,10 @@ def load_config(path: str | None = None, env: dict | None = None) -> Config:
                     raise ValueError(f"bad config line: {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 value = re.split(r"(?:^|\s)#", value, maxsplit=1)[0].rstrip()
-                if key not in {f.name for f in fields(Config)}:
+                if key not in Config._fields:
                     raise ValueError(f"unknown config key: {key!r}")
-                setattr(cfg, key, int(value) if key in int_fields else value)
-    if env.get("BGSLAB_CACHE"):
-        cfg.cache_path = env["BGSLAB_CACHE"]
-    return cfg.validate()
+                is_int = isinstance(Config._field_defaults[key], int)
+                values[key] = int(value) if is_int else value
+    # an empty cache path, in the file or the environment, means no cache
+    values["cache_path"] = env.get("BGSLAB_CACHE") or values.get("cache_path") or None
+    return Config(**values).validate()

@@ -21,11 +21,11 @@ numbers decode to the machine with no transitions at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import log2
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .codec import to_dyadic
 
@@ -42,16 +42,14 @@ HALT = -1  # next-state sentinel
 _UNREACHABLE_STEPS = 2 ** 64
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     next_state: int  # HALT or a state index
     write: int
     move: str
 
 
-@dataclass(frozen=True)
 class TransitionTable:
-    """A concrete deterministic machine; immutable after construction.
+    """A concrete deterministic machine, equal to any with the same fields.
 
     `step_table` is the transition map in the form the simulator reads: a
     flat list of rows of three cells (symbols 0, 1, BLANK), one row for
@@ -68,64 +66,73 @@ class TransitionTable:
     the machine runs once per input; `answer` holds one search's least
     counterexample z, the largest step count S of the runs that settled it
     and the witness table it walked, so an index with clock offset b >= S
-    is answered without a walk.  `bgs` sets `answer` with
-    `object.__setattr__`, because the dataclass is frozen.
+    is answered without a walk.  Unlike the package's other records, which
+    are named tuples, a table is a plain object, so that `bgs` can set its
+    memos; like its `transitions` dict, it is not hashable.
     """
 
-    state_count: int
-    transitions: Mapping[tuple[int, int], Transition]
-    step_table: list[tuple[int, int, int, int] | None] = field(
-        init=False, compare=False, repr=False)
-    outcomes: dict[int, tuple[bool, int, bool]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-    answer: tuple[int, int, object] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.state_count < 1:
+    def __init__(self, state_count: int, transitions: Mapping[tuple[int, int], Transition]):
+        if state_count < 1:
             raise ValueError("state_count must be >= 1")
+        self.state_count = state_count
+        self.transitions = transitions
         rows = {0: 0}  # state -> first cell of its row
-        for q, _ in self.transitions:
+        for q, _ in transitions:
             if q not in rows:
                 rows[q] = 3 * len(rows)
         halting = 3 * len(rows)  # the row of every state without transitions
         cells: list[tuple[int, int, int, int] | None] = [None] * (halting + 3)
-        for (q, s), t in self.transitions.items():
+        for (q, s), t in transitions.items():
             nxt, write, move = t.next_state, t.write, t.move
-            if not (0 <= q < self.state_count):
+            if not (0 <= q < state_count):
                 raise ValueError(f"state {q} out of range")
             if s not in SYMBOLS or write not in SYMBOLS:
                 raise ValueError(f"bad symbol in transition ({q}, {s})")
             if move not in (MOVE_L, MOVE_R):
                 raise ValueError(f"bad move {move!r}")
-            if nxt != HALT and not (0 <= nxt < self.state_count):
+            if nxt != HALT and not (0 <= nxt < state_count):
                 raise ValueError(f"next state {nxt} out of range")
             cells[rows[q] + s] = (rows.get(nxt, halting), write,
                                   1 if move == MOVE_R else -1, nxt)
-        object.__setattr__(self, "step_table", cells)
+        self.step_table = cells
+        self.outcomes: dict[int, tuple[bool, int, bool]] = {}
+        self.answer: tuple[int, int, object] | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.state_count, self.transitions) == (other.state_count, other.transitions)
+
+    def __repr__(self) -> str:
+        return f"TransitionTable(state_count={self.state_count}, transitions={self.transitions})"
 
 
 NULL_MACHINE = TransitionTable(state_count=1, transitions={})
 
 
-@dataclass(frozen=True)
-class ClockSpec:
+class ClockSpec(namedtuple("ClockSpec", "a b")):
     """Polynomial step budget |x|^a + b over the input's dyadic length."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __new__(cls, a: int, b: int) -> "ClockSpec":
+        if a < 1 or b < 1:
             raise ValueError("clock exponents and offsets must be >= 1")
+        return tuple.__new__(cls, (a, b))
+
+    @classmethod
+    def _make(cls, iterable) -> "ClockSpec":
+        # namedtuple's _make and _replace skip __new__; keep the check
+        return cls(*iterable)
 
     def bound(self, input_value: int) -> int:
         # |x| = len(to_dyadic(x)), without building the string
         return ((input_value + 1).bit_length() - 1) ** self.a + self.b
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     output: int
     steps: int
     interrupted: bool = False  # stopped by a polynomial clock

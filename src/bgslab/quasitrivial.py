@@ -25,7 +25,7 @@ pair(x, y) >= pair(x, 0) = x(x + 1)/2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bgs, sat
 from .codec import decode_cnf, from_dyadic, pair, to_dyadic, triple_encode
@@ -55,16 +55,14 @@ class BudgetTooSmallError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class QuasiTrivialMachine:
+class QuasiTrivialMachine(NamedTuple):
     table: TransitionTable
     m: int  # Goedel number of the table
     k: int
     witnesses: tuple[int, ...]  # witnesses[x] = decider's witness of x <= k, 0 when none
 
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
+class EmbeddingRecord(NamedTuple):
     m: int
     k: int
     b_m: int
@@ -157,8 +155,7 @@ def embed(q: QuasiTrivialMachine) -> EmbeddingRecord:
     return EmbeddingRecord(m=q.m, k=q.k, b_m=b_m, n=triple_encode(q.m, 2, b_m))
 
 
-@dataclass(frozen=True)
-class NoInterruptReport:
+class NoInterruptReport(NamedTuple):
     ok: bool
     failed_at: int | None
     checked: int
@@ -236,8 +233,7 @@ def star_counterexample(record: EmbeddingRecord, budget: int) -> bgs.Counterexam
     return bgs.counterexample(index, budget)
 
 
-@dataclass(frozen=True)
-class LemmaCheckRow:
+class LemmaCheckRow(NamedTuple):
     k: int
     m: int
     b_m: int

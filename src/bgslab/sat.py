@@ -20,7 +20,7 @@ shares no evaluation code with V or T.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codec import CnfFormula, assignment_bits, decode_cnf, from_dyadic, pair, unpair
 
@@ -60,8 +60,7 @@ def verify_pair(x: int, y: int) -> int:
     return verifier(pair(x, y))
 
 
-@dataclass(frozen=True)
-class DeciderResult:
+class DeciderResult(NamedTuple):
     witness: int  # least satisfying assignment code, 0 when none
     satisfiable: bool
 

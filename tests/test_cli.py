@@ -283,6 +283,18 @@ def test_config_file_sets_budget_default(capsys, tmp_path, monkeypatch):
         cache_path="/tmp/bgslab-cache.json", output_format="json")
 
 
+@pytest.mark.parametrize("line", ["cache_path=\n", "cache_path=  # no cache\n"])
+def test_an_empty_cache_path_runs_without_a_cache(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.delenv("BGSLAB_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "bgslab.conf"
+    config.write_text(line)
+    rc, out, err = run_cli(capsys, ["--config", str(config),
+                                    "bgs", "counterexample", "--index", "17", "--budget", "100"])
+    assert rc == 0 and err == "" and json.loads(out)["z"] == 93
+    assert [p.name for p in tmp_path.iterdir()] == ["bgslab.conf"]
+
+
 def test_bad_config_exits_two(capsys, tmp_path):
     config = tmp_path / "bgslab.conf"
     config.write_text("k_max=100\n")

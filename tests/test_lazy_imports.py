@@ -1,7 +1,7 @@
 """A command loads only what it runs: `import bgslab` loads no submodule,
-the package's names resolve lazily to the same objects as before, and a
+the package's names resolve lazily to the same objects as before, a
 cache probe loads neither the cutoff-machine module nor `logging` or
-`csv`."""
+`csv`, and no command loads `dataclasses` or the modules it imports."""
 
 import os
 import subprocess
@@ -34,6 +34,9 @@ OLD_NAMES = {
 }
 
 HEAVY = ("bgslab.quasitrivial", "logging", "csv")
+
+# what `import dataclasses` loads; the package declares no dataclass
+DATACLASSES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def defined(module_name: str, name: str):
@@ -103,6 +106,19 @@ def test_a_probe_loads_no_cutoff_machines_logging_or_csv(tmp_path, commands, unl
         loaded = loaded_by(cli_run(argv), tmp_path)
         assert "bgslab.cli" in loaded
         assert [m for m in unloaded if m in loaded] == []
+
+
+@pytest.mark.parametrize("commands", [
+    [["pair", "7", "11"]],
+    [["bgs", "counterexample", "--index", "17", "--budget", str(budget), "--cache", "c.json"]
+     for budget in (50, 200, 200)],
+    [["qt", "verify", "--cutoffs", "0..2"]],
+], ids=["pair", "cache probes", "qt verify"])
+def test_no_command_loads_dataclasses(tmp_path, commands):
+    for argv in commands:
+        loaded = loaded_by(cli_run(argv), tmp_path)
+        assert "bgslab.cli" in loaded
+        assert [m for m in DATACLASSES if m in loaded] == []
 
 
 def test_an_unwritable_cache_exits_two_without_loading_cutoff_machines(tmp_path):
