@@ -11,24 +11,31 @@ the cutoff.  It is compiled as a prefix trie over the dyadic strings of
 * on x > k the run erases and halts in exactly |x| steps, a bound that is
   linear by construction, not by measurement.
 
+The trie is numbered by arithmetic: state x has read the dyadic string of
+x, and its children are 2x + 1 and 2x + 2.
+
 The clock offset b_m is measured from the compiled machine's own worst
 runtime below the cutoff plus an analytic slack for the dispatch depth,
-so the quadratic clock C_(2, b_m) can never interrupt it.  Embedding the
-machine at index <m, 2, b_m> then forces the least counterexample of the
-embedded pair to land beyond the cutoff; `lemma_check` checks that
-against an independent oracle: one enumeration of formula codes x > k and,
-per satisfiable candidate, one enumeration of truth tuples.  The oracle
-stops at the first x with pair(x, 0) >= the best candidate so far, since
-pair(x, y) >= pair(x, 0) = x(x + 1)/2.
+so the quadratic clock C_(2, b_m) can never interrupt it.  Both that
+measurement and the no-interrupt check take their runtimes from one walk
+over the trie of input strings, which simulates only each input's tail
+after the string is read and erased, and gives the step counts that one
+simulated run per input would.
+
+Embedding the machine at index <m, 2, b_m> then forces the least
+counterexample of the embedded pair to land beyond the cutoff;
+`lemma_check` checks that against an independent oracle: one enumeration
+of formula codes x > k and, per satisfiable candidate, one enumeration of
+truth tuples.  The oracle stops at the first x with pair(x, 0) >= the
+best candidate so far, since pair(x, y) >= pair(x, 0) = x(x + 1)/2.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import bgs, sat
-from .codec import decode_cnf, from_dyadic, pair, to_dyadic, triple_encode
+from .codec import decode_cnf, pair, to_dyadic, triple_encode
 from .machine import (
     BLANK,
     HALT,
@@ -40,7 +47,6 @@ from .machine import (
     decode_machine,
     encode_machine,
     run,
-    run_clocked,
 )
 
 DEFAULT_K_MAX = 32
@@ -70,7 +76,12 @@ class EmbeddingRecord(NamedTuple):
 
 
 def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
-    """Compile the cutoff-k machine as a tape-erasing prefix trie."""
+    """Compile the cutoff-k machine as a tape-erasing prefix trie.
+
+    States 0 .. 2^(|k| + 1) - 2 are the trie's nodes, state x the one that
+    has read the dyadic string of x; it moves to 2x + 1 on 0 and to 2x + 2
+    on 1, and the nodes of depth |k| move to the eraser 2^(|k| + 1) - 1.
+    The states of the witness tails follow, in the order of x."""
     if k < 0:
         raise ValueError("cutoff must be a natural number")
     if k > k_max:
@@ -83,44 +94,41 @@ def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
     answers = tuple(sat.decider(x).witness for x in range(k + 1))
     depth = len(to_dyadic(k))  # every accepted string has length <= depth
 
-    transitions: dict[tuple[int, int], Transition] = {}
-    state_ids: dict[str, int] = {}
-    for length in range(depth + 1):
-        for bits in itertools.product("01", repeat=length):
-            state_ids["".join(bits)] = len(state_ids)
-    eraser = len(state_ids)
+    leaves = (1 << depth) - 1  # the first node of depth `depth`
+    eraser = 2 * leaves + 1
     next_free = eraser + 1
+    to_eraser = Transition(eraser, BLANK, MOVE_R)
+    transitions: dict[tuple[int, int], Transition] = {
+        (eraser, 0): to_eraser,
+        (eraser, 1): to_eraser,
+        # (eraser, BLANK) missing: halt with the whole input block erased
+    }
 
-    transitions[(eraser, 0)] = Transition(eraser, BLANK, MOVE_R)
-    transitions[(eraser, 1)] = Transition(eraser, BLANK, MOVE_R)
-    # (eraser, BLANK) missing: halt with the whole input block erased
-
-    for s, sid in state_ids.items():
-        if len(s) < depth:
-            transitions[(sid, 0)] = Transition(state_ids[s + "0"], BLANK, MOVE_R)
-            transitions[(sid, 1)] = Transition(state_ids[s + "1"], BLANK, MOVE_R)
+    for x in range(eraser):
+        if x < leaves:
+            transitions[(x, 0)] = Transition(2 * x + 1, BLANK, MOVE_R)
+            transitions[(x, 1)] = Transition(2 * x + 2, BLANK, MOVE_R)
         else:
-            transitions[(sid, 0)] = Transition(eraser, BLANK, MOVE_R)
-            transitions[(sid, 1)] = Transition(eraser, BLANK, MOVE_R)
-        x = from_dyadic(s)
+            transitions[(x, 0)] = to_eraser
+            transitions[(x, 1)] = to_eraser
         if x > k:
             continue  # unaccepted depth-limit node: blank already halts in place
         witness_bits = to_dyadic(answers[x])
         if not witness_bits:
             # witness 0: explicit halt, so tables for distinct cutoffs differ
             # even when no stored witness distinguishes them
-            transitions[(sid, BLANK)] = Transition(HALT, BLANK, MOVE_L)
+            transitions[(x, BLANK)] = Transition(HALT, BLANK, MOVE_L)
             continue
-        # straight-line tail: walk from cell len(s) to the witness's last
+        # straight-line tail: walk from cell |x| to the witness's last
         # cell, then write it right to left; every cell on the way is blank
         ops: list[tuple[int, str]] = []
-        position = len(s)
+        position = (x + 1).bit_length() - 1  # |x|
         target = len(witness_bits) - 1
         ops.extend([(BLANK, MOVE_L)] * (position - target))
         ops.extend([(BLANK, MOVE_R)] * (target - position))
         for j in range(target, -1, -1):
             ops.append((int(witness_bits[j]), MOVE_L))
-        state = sid
+        state = x
         for i, (write, move) in enumerate(ops):
             nxt = HALT if i == len(ops) - 1 else next_free
             transitions[(state, BLANK)] = Transition(nxt, write, move)
@@ -137,15 +145,93 @@ def dispatch_slack(k: int) -> int:
     return len(to_dyadic(k))
 
 
+def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int]):
+    """For x = 0, 1, ..., upper in turn: the step count of the table's run
+    on x, or None where the run does not halt within limit_at(|x|) steps.
+
+    One walk over the trie of input strings, in x order: the string of
+    2x + 1 is x's followed by 0, that of 2x + 2 x's followed by 1.  While
+    a transition on an input symbol writes blank and moves right, the
+    tape left of the head is blank and the rest holds the unread input,
+    so each node carries the row reached once its string is read, and
+    only the run's tail after the input ends is simulated: one run from
+    that row on a blank tape with the head at |x|.  A node whose string
+    meets a missing or HALT transition halts within it, and so does every
+    node below it, after the same steps.  A row with no blank transition
+    halts as soon as the input ends, after |x| steps: the compiled
+    machine's eraser settles its whole subtree that way.  A node whose
+    string is read by a transition of another shape, and every node below
+    it, gets one run of its own, as `run` makes it.
+    """
+    cells = table.step_table
+    limits = [limit_at(depth) for depth in range((upper + 1).bit_length())]
+    # per node: the row reached after its string (>= 0), ~steps when the
+    # run halted within the string, None when the walk cannot follow it
+    reached: list[int | None] = []
+    for x in range(upper + 1):
+        depth = (x + 1).bit_length() - 1
+        limit = limits[depth]
+        if x == 0:
+            row = 0
+        else:
+            row = reached[(x - 1) >> 1]
+            if row is not None and row >= 0:
+                cell = cells[row + ((x - 1) & 1)]
+                if cell is None:
+                    row = ~(depth - 1)
+                elif cell[1] != BLANK or cell[2] != 1:
+                    row = None
+                elif cell[3] == HALT:
+                    row = ~depth
+                else:
+                    row = cell[0]
+        reached.append(row)
+        if row is None:
+            result = run(table, x, limit)
+            yield result.steps if result.halted else None
+            continue
+        if row < 0:
+            steps = ~row
+        elif cells[row + BLANK] is None:
+            steps = depth
+        else:
+            steps = _tail_steps(cells, row, depth, limit)
+        yield None if steps is None or steps > limit else steps
+
+
+def _tail_steps(cells: list, row: int, head: int, limit: int) -> int | None:
+    """Steps of a run that has read and erased a string of length `head`,
+    from `row` on a blank tape, or None when it does not halt within
+    `limit`.  The same moves as `machine._simulate`, which starts at
+    step 0 on the input."""
+    written: dict[int, int] = {}
+    steps = head
+    while True:
+        cell = cells[row + written.get(head, BLANK)]
+        if cell is None:
+            return steps
+        if steps >= limit:
+            return None
+        row, written[head], move, state = cell
+        head += move
+        if head < 0:
+            head = 0
+        steps += 1
+        if state == HALT:
+            return steps
+
+
 def measure_b(q: QuasiTrivialMachine) -> int:
     """Clock offset: worst measured runtime below the cutoff, plus one,
-    plus the dispatch slack.  Deterministic and always >= 1."""
+    plus the dispatch slack.  Deterministic and always >= 1.
+
+    The runtimes on x = 0..k come from one walk over the machine's trie
+    (`_run_steps`), equal to one run of up to _MEASURE_FUEL steps per x."""
     worst = 0
-    for x in range(q.k + 1):
-        result = run(q.table, x, _MEASURE_FUEL)
-        if not result.halted:
+    for x, steps in enumerate(_run_steps(q.table, q.k, lambda depth: _MEASURE_FUEL)):
+        if steps is None:
             raise RuntimeError(f"compiled machine failed to halt on {x}")
-        worst = max(worst, result.steps)
+        worst = max(worst, steps)
     return worst + 1 + dispatch_slack(q.k)
 
 
@@ -165,19 +251,24 @@ def verify_no_interrupt(record: EmbeddingRecord, test_window: int = 200) -> NoIn
     """Check that C_(2, b_m) never interrupts the machine and never changes
     its output or step count, on every x <= max(k, test_window).
 
-    One clocked run per x decides what a comparison with a free run under
+    A clocked run decides what a comparison with a free run under
     _MEASURE_FUEL steps would: the same simulator on the same input makes
     the same moves, so a clocked run that halts after s steps is that free
     run when s <= _MEASURE_FUEL, output and steps alike, and the free run
     exhausts its fuel when s > _MEASURE_FUEL.  The check therefore fails
-    at x exactly when the clocked run is interrupted or halts after more
-    than _MEASURE_FUEL steps."""
+    at x exactly when the run takes more than min(|x|^2 + b_m,
+    _MEASURE_FUEL) steps.  One walk over the machine's trie
+    (`_run_steps`) gives every x's step count under that limit, as one
+    clocked run per x would, and the report names the least failing x."""
     table = decode_machine(record.m)
     clock = ClockSpec(2, record.b_m)
     upper = max(record.k, test_window)
-    for x in range(upper + 1):
-        clocked = run_clocked(table, clock, x)
-        if clocked.interrupted or clocked.steps > _MEASURE_FUEL:
+
+    def limit_at(depth: int) -> int:
+        return min(depth ** clock.a + clock.b, _MEASURE_FUEL)
+
+    for x, steps in enumerate(_run_steps(table, upper, limit_at)):
+        if steps is None:
             return NoInterruptReport(ok=False, failed_at=x, checked=x + 1)
     return NoInterruptReport(ok=True, failed_at=None, checked=upper + 1)
 

@@ -2,6 +2,7 @@
 definitions that the program's fast paths replace."""
 
 import io
+import itertools
 import json
 import random
 
@@ -10,7 +11,7 @@ from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus, Res
 from bgslab.codec import CODEC_VERSION, from_dyadic, to_dyadic, unpair
 from bgslab.machine import (BLANK, HALT, MACHINE_ENCODING_VERSION, MOVE_L, MOVE_R,
                             NULL_MACHINE, ClockSpec, RunResult, Transition, TransitionTable,
-                            decode_machine, run_clocked, step_limit)
+                            decode_machine, encode_machine, run, run_clocked, step_limit)
 
 # scans right erasing the input block, halts at the first blank: output 0
 ERASER = TransitionTable(1, {
@@ -139,6 +140,70 @@ def reference_no_interrupt(record, test_window: int = 200):
                 or clocked.output != free.output or clocked.steps != free.steps):
             return quasitrivial.NoInterruptReport(ok=False, failed_at=x, checked=x + 1)
     return quasitrivial.NoInterruptReport(ok=True, failed_at=None, checked=upper + 1)
+
+
+def reference_measure_b(q) -> int:
+    """The per-input loop that `quasitrivial.measure_b` replaces: one free
+    run of up to `quasitrivial._MEASURE_FUEL` steps per x <= k."""
+    worst = 0
+    for x in range(q.k + 1):
+        result = run(q.table, x, quasitrivial._MEASURE_FUEL)
+        if not result.halted:
+            raise RuntimeError(f"compiled machine failed to halt on {x}")
+        worst = max(worst, result.steps)
+    return worst + 1 + quasitrivial.dispatch_slack(q.k)
+
+
+def reference_build_qt(k: int):
+    """The string-keyed trie that `quasitrivial.build_qt` numbers by
+    arithmetic: one state per dyadic string of length <= |k|, numbered in
+    `itertools.product` order and looked up by string, with x read back
+    by `from_dyadic`.  Returns a QuasiTrivialMachine."""
+    answers = tuple(sat.decider(x).witness for x in range(k + 1))
+    depth = len(to_dyadic(k))
+
+    transitions: dict[tuple[int, int], Transition] = {}
+    state_ids: dict[str, int] = {}
+    for length in range(depth + 1):
+        for bits in itertools.product("01", repeat=length):
+            state_ids["".join(bits)] = len(state_ids)
+    eraser = len(state_ids)
+    next_free = eraser + 1
+
+    transitions[(eraser, 0)] = Transition(eraser, BLANK, MOVE_R)
+    transitions[(eraser, 1)] = Transition(eraser, BLANK, MOVE_R)
+
+    for s, sid in state_ids.items():
+        if len(s) < depth:
+            transitions[(sid, 0)] = Transition(state_ids[s + "0"], BLANK, MOVE_R)
+            transitions[(sid, 1)] = Transition(state_ids[s + "1"], BLANK, MOVE_R)
+        else:
+            transitions[(sid, 0)] = Transition(eraser, BLANK, MOVE_R)
+            transitions[(sid, 1)] = Transition(eraser, BLANK, MOVE_R)
+        x = from_dyadic(s)
+        if x > k:
+            continue
+        witness_bits = to_dyadic(answers[x])
+        if not witness_bits:
+            transitions[(sid, BLANK)] = Transition(HALT, BLANK, MOVE_L)
+            continue
+        ops: list[tuple[int, str]] = []
+        position = len(s)
+        target = len(witness_bits) - 1
+        ops.extend([(BLANK, MOVE_L)] * (position - target))
+        ops.extend([(BLANK, MOVE_R)] * (target - position))
+        for j in range(target, -1, -1):
+            ops.append((int(witness_bits[j]), MOVE_L))
+        state = sid
+        for i, (write, move) in enumerate(ops):
+            nxt = HALT if i == len(ops) - 1 else next_free
+            transitions[(state, BLANK)] = Transition(nxt, write, move)
+            state = next_free
+            if nxt != HALT:
+                next_free += 1
+    table = TransitionTable(state_count=next_free, transitions=transitions)
+    return quasitrivial.QuasiTrivialMachine(table=table, m=encode_machine(table), k=k,
+                                            witnesses=answers)
 
 
 def reference_to_trits(n: int) -> str:

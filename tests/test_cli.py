@@ -302,6 +302,20 @@ def test_bad_config_exits_two(capsys, tmp_path):
     assert rc == 2 and "k_max" in err
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"k_max=abc\n", "line 1: k_max must be an integer, not 'abc'"),
+    (b"# limits\nk_max=7\nbudget_default=\n", "line 3: budget_default must be an integer, not ''"),
+    (b"k_max=7\r\ncache_path=/tmp/\xff.json\n",
+     "line 2: the value of cache_path is not UTF-8 text (byte 0xff)"),
+], ids=["not-a-number", "empty", "not-utf8"])
+def test_a_bad_config_value_names_file_line_and_key(capsys, tmp_path, content, message):
+    config = tmp_path / "bgslab.conf"
+    config.write_bytes(content)
+    rc, out, err = run_cli(capsys, ["--config", str(config), "pair", "0", "0"])
+    assert rc == 2 and out == ""
+    assert err == f"bgslab: config error: {config}, {message}\n"
+
+
 def test_env_cache_override(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "envcache.json"
     monkeypatch.setenv("BGSLAB_CACHE", str(cache))

@@ -6,10 +6,11 @@ import pytest
 
 from bgslab import bgs, codec, machine, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_decode, unpair
-from bgslab.machine import (BLANK, HALT, MOVE_R, ClockSpec, Transition, TransitionTable,
+from bgslab.machine import (BLANK, HALT, MOVE_L, MOVE_R, ClockSpec, Transition, TransitionTable,
                             decode_machine, encode_machine, run, run_clocked)
 
-from helpers import LOOPER, random_table, reference_no_interrupt
+from helpers import (LOOPER, random_table, reference_build_qt, reference_measure_b,
+                     reference_no_interrupt)
 
 KS = range(11)
 
@@ -200,6 +201,115 @@ def test_a_run_past_the_measuring_fuel_fails(monkeypatch, form):
     # a clock of 1000 steps and more never interrupts a 13-step run
     assert form(fake_record(chain(12), 1000), 20) == qt.NoInterruptReport(True, None, 21)
     assert form(fake_record(chain(13), 1000), 20) == qt.NoInterruptReport(False, 0, 1)
+
+
+# --- the trie walk against the per-input loops -------------------------------
+
+WALK_KS = [*range(131), 200, 255, 256, 300, 400]
+
+
+def outcome(f, *args):
+    """f's result, or the type and text of the exception it raised."""
+    try:
+        return f(*args)
+    except RuntimeError as e:
+        return type(e), str(e)
+
+
+def test_measure_b_equals_the_per_input_loop_on_compiled_tables():
+    for k in WALK_KS:
+        q = qt.build_qt(k, k_max=400)
+        assert qt.measure_b(q) == reference_measure_b(q), k
+
+
+def test_no_interrupt_equals_the_two_run_form_on_every_window():
+    for k in WALK_KS:
+        record = qt.embed(qt.build_qt(k, k_max=400))
+        for window in (0, 1, 50, 200, 450):
+            assert (qt.verify_no_interrupt(record, window)
+                    == reference_no_interrupt(record, window)), (k, window)
+
+
+def test_the_walk_runs_no_machine_on_compiled_tables(monkeypatch):
+    # every input string of a compiled table is read by transitions that
+    # erase and move right, so the walk settles each x without a run
+    def no_run(*args):
+        raise AssertionError("the walk ran a machine")
+    monkeypatch.setattr(qt, "run", no_run)
+    for k in (0, 1, 11, 64, 300):
+        q = qt.build_qt(k, k_max=300)
+        assert qt.measure_b(q) >= 1
+        assert qt.verify_no_interrupt(qt.embed(q), 450).ok
+
+
+def mutations(table: TransitionTable):
+    """Every table that differs from `table` in one field of one transition:
+    its next state, its write or its move."""
+    for key, t in table.transitions.items():
+        changed = [t._replace(next_state=q) for q in (HALT, *range(table.state_count))]
+        changed += [t._replace(write=w) for w in (0, 1, BLANK)]
+        changed.append(t._replace(move=MOVE_L if t.move == MOVE_R else MOVE_R))
+        for u in changed:
+            if u != t:
+                yield TransitionTable(table.state_count, {**table.transitions, key: u})
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_walk_equals_the_per_input_loops_on_every_mutation(k):
+    q = qt.build_qt(k)
+    b_m = qt.measure_b(q)
+    verdicts = set()
+    for table in mutations(q.table):
+        mutant = q._replace(table=table, m=encode_machine(table))
+        assert outcome(qt.measure_b, mutant) == outcome(reference_measure_b, mutant)
+        for b in (b_m, 1):
+            record = qt.EmbeddingRecord(m=mutant.m, k=k, b_m=b,
+                                        n=codec.triple_encode(mutant.m, 2, b))
+            report = qt.verify_no_interrupt(record, 50)
+            assert report == reference_no_interrupt(record, 50)
+            verdicts.add(report.ok)
+    assert verdicts == {True, False}
+
+
+def random_eraser_table(rng: random.Random, max_states: int = 5) -> TransitionTable:
+    """A random table whose transitions on 0 and 1 all write blank and move
+    right, the shape the walk follows; any transition may be missing, and
+    those on blank are arbitrary."""
+    states = rng.randint(1, max_states)
+    transitions = {}
+    for q in range(states):
+        for sym in (0, 1, BLANK):
+            if rng.random() < 0.75:
+                nxt = rng.choice([HALT] + list(range(states)))
+                if sym == BLANK:
+                    transitions[(q, sym)] = Transition(
+                        nxt, rng.choice((0, 1, BLANK)), rng.choice((MOVE_L, MOVE_R)))
+                else:
+                    transitions[(q, sym)] = Transition(nxt, BLANK, MOVE_R)
+    return TransitionTable(states, transitions)
+
+
+@pytest.mark.parametrize("fuel", [3, 12, 1000])
+def test_the_walk_equals_the_per_input_loops_on_random_tables(monkeypatch, fuel):
+    # short fuels stop runs inside the input string as well as after it
+    monkeypatch.setattr(qt, "_MEASURE_FUEL", fuel)
+    rng = random.Random(fuel)
+    for _ in range(150):
+        table = rng.choice((random_table, random_eraser_table))(rng)
+        k = rng.randint(0, 40)
+        q = qt.QuasiTrivialMachine(table=table, m=encode_machine(table), k=k, witnesses=())
+        assert outcome(qt.measure_b, q) == outcome(reference_measure_b, q)
+        record = fake_record(table, rng.randint(1, 30), k)
+        for window in (0, 45):
+            assert (qt.verify_no_interrupt(record, window)
+                    == reference_no_interrupt(record, window))
+
+
+def test_build_qt_numbers_its_trie_by_arithmetic():
+    for k in [*range(131), 255, 256, 400, 511]:
+        q, ref = qt.build_qt(k, k_max=511), reference_build_qt(k)
+        assert list(q.table.transitions.items()) == list(ref.table.transitions.items()), k
+        assert (q.table.state_count, q.m) == (ref.table.state_count, ref.m), k
 
 
 # --- crucial step ---------------------------------------------------------------
