@@ -1,5 +1,5 @@
-"""The clocked-pair set: index decoding, P_n(x), the guess predicates, and
-the budgeted least-counterexample search.
+"""The clocked-pair set: index decoding, P_n(x), and the budgeted
+least-counterexample search.
 
 An index n names the machine-clock pair (decode_machine(m), C_(a,b)) with
 (m, a, b) = triple_decode(n).  Decoded zeros for a or b are lifted to 1 so
@@ -78,7 +78,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import sat
-from .codec import CODEC_VERSION, decode_cnf, pair, triple_decode, unpair
+from .codec import CODEC_VERSION, decode_cnf, pair, triple_decode
 from .machine import (
     MACHINE_ENCODING_VERSION,
     ClockSpec,
@@ -127,19 +127,6 @@ class BgsIndex(namedtuple("BgsIndex", "n m a b")):
 def bgs_run(index: BgsIndex, x: int):
     """P_n(x): the indexed machine run under its clock; total."""
     return run_clocked(index.table(), index.clock, x)
-
-
-def g_star(index: BgsIndex, x: int) -> bool:
-    """True when the indexed pair's output on x satisfies x."""
-    return sat.verify_pair(x, bgs_run(index, x).output) == 1
-
-
-def not_g(index: BgsIndex, z: int) -> bool:
-    """True when z = (x, y) proves the pair wrong: y satisfies x, its output does not."""
-    if sat.verifier(z) != 1:
-        return False
-    x, _ = unpair(z)
-    return not g_star(index, x)
 
 
 class CounterexampleStatus(enum.Enum):

@@ -332,7 +332,7 @@ def cmd_bgs_counterexample(args, cfg):
     budget = args.budget if args.budget is not None else cfg.budget_default
     index = bgs.BgsIndex.from_natural(args.index)
     result = bgs.counterexample(index, budget, cache)
-    if cache is not None and cache_path is not None:
+    if cache is not None:
         cache.save(cache_path)
     row = _counterexample_row(index, result)
     row["budget"] = budget
@@ -357,7 +357,7 @@ def cmd_bgs_scan(args, cfg):
             row["millis"] = int((time.monotonic() - begin) * 1000)
         rows.append(row)
         found += 1 if result.found else 0
-    if cache is not None and cache_path is not None:
+    if cache is not None:
         cache.save(cache_path)
     report = {
         "budget": budget,
@@ -407,7 +407,7 @@ def cmd_qt_verify(args, cfg):
     checks = quasitrivial.lemma_check(cutoffs, budget=args.budget,
                                       window=args.window, cache=cache,
                                       k_max=cfg.k_max)
-    if cache is not None and cache_path is not None:
+    if cache is not None:
         cache.save(cache_path)
     rows = []
     for row in checks:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import os
 import re
 from typing import NamedTuple
@@ -41,16 +40,18 @@ def load_config(path: str | None = None, env: dict | None = None) -> Config:
     if path is not None:
         with open(path, "rb") as fh:
             data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ValueError(_not_utf8(path, data[:e.start].decode("utf-8"), data[e.start])) from None
-        # newline=None splits lines as a file opened in text mode does
-        for number, raw in enumerate(io.StringIO(text, newline=None), 1):
-            line = raw.strip()
+        # bytes.splitlines breaks at \n, \r and \r\n, as text mode does
+        for number, raw in enumerate(data.splitlines(), 1):
+            where = f"{path}, line {number}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                key, sep, _ = raw[:e.start].decode("utf-8").partition("=")
+                part = f"the value of {key.strip()}" if sep else "the line"
+                raise ValueError(f"{where}: {part} is not UTF-8 text "
+                                 f"(byte {raw[e.start]:#04x})") from None
             if not line or line.startswith("#"):
                 continue
-            where = f"{path}, line {number}"
             if "=" not in line:
                 raise ValueError(f"{where}: bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
@@ -59,22 +60,16 @@ def load_config(path: str | None = None, env: dict | None = None) -> Config:
                 raise ValueError(f"{where}: unknown config key: {key!r}")
             if isinstance(Config._field_defaults[key], int):
                 try:
-                    values[key] = int(value)
+                    value = int(value)
                 except ValueError:
                     raise ValueError(
                         f"{where}: {key} must be an integer, not {value!r}") from None
-            else:
-                values[key] = value
+            try:
+                Config(**{key: value}).validate()  # the other fields are defaults
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
+            values[key] = value
     # an empty cache path, in the file or the environment, means no cache
     values["cache_path"] = env.get("BGSLAB_CACHE") or values.get("cache_path") or None
     return Config(**values).validate()
 
-
-def _not_utf8(path: str, before: str, byte: int) -> str:
-    """The error text for a file whose first undecodable byte follows the
-    text `before`."""
-    lines = re.split(r"\r\n?|\n", before)
-    where = f"{path}, line {len(lines)}"
-    key, sep, _ = lines[-1].partition("=")
-    part = f"the value of {key.strip()}" if sep else "the line"
-    return f"{where}: {part} is not UTF-8 text (byte {byte:#04x})"

@@ -18,9 +18,11 @@ The clock offset b_m is measured from the compiled machine's own worst
 runtime below the cutoff plus an analytic slack for the dispatch depth,
 so the quadratic clock C_(2, b_m) can never interrupt it.  Both that
 measurement and the no-interrupt check take their runtimes from one walk
-over the trie of input strings, which simulates only each input's tail
-after the string is read and erased, and gives the step counts that one
-simulated run per input would.
+over the trie of input strings.  Every input's run resumes where its
+erasing read stopped: from the state reached once the leading symbols
+read by transitions that write blank and move right are gone, with the
+unread rest on the tape.  That gives the step counts that one simulated
+run per input would.
 
 Embedding the machine at index <m, 2, b_m> then forces the least
 counterexample of the embedded pair to land beyond the cutoff;
@@ -46,7 +48,6 @@ from .machine import (
     TransitionTable,
     decode_machine,
     encode_machine,
-    run,
 )
 
 DEFAULT_K_MAX = 32
@@ -150,69 +151,59 @@ def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int
     on x, or None where the run does not halt within limit_at(|x|) steps.
 
     One walk over the trie of input strings, in x order: the string of
-    2x + 1 is x's followed by 0, that of 2x + 2 x's followed by 1.  While
-    a transition on an input symbol writes blank and moves right, the
-    tape left of the head is blank and the rest holds the unread input,
-    so each node carries the row reached once its string is read, and
-    only the run's tail after the input ends is simulated: one run from
-    that row on a blank tape with the head at |x|.  A node whose string
-    meets a missing or HALT transition halts within it, and so does every
-    node below it, after the same steps.  A row with no blank transition
-    halts as soon as the input ends, after |x| steps: the compiled
-    machine's eraser settles its whole subtree that way.  A node whose
-    string is read by a transition of another shape, and every node below
-    it, gets one run of its own, as `run` makes it.
+    2x + 1 is x's followed by 0, that of 2x + 2 x's followed by 1.  Each
+    node keeps the row reached and how many leading symbols j of its
+    string were read by transitions that write blank and move right; a
+    node reads one symbol past its parent only when the parent read its
+    whole string.  After those j steps the cells left of the head at j
+    are blank and the rest hold the unread input, so every x is settled
+    one way: its run resumes from that row at step j with the unread
+    suffix on the cells from j on (`_tail_steps`).  A transition into
+    HALT leads to the step table's row of None cells, so a read that
+    stops there needs no rule of its own.  A fully read node whose row
+    has no blank transition halts after |x| steps without a resumed run:
+    the compiled machine's eraser settles its whole subtree that way.
     """
     cells = table.step_table
     limits = [limit_at(depth) for depth in range((upper + 1).bit_length())]
-    # per node: the row reached after its string (>= 0), ~steps when the
-    # run halted within the string, None when the walk cannot follow it
-    reached: list[int | None] = []
+    rows: list[int] = []  # per node: the row reached
+    reads: list[int] = []  # per node: the symbols read by erasing moves right
     for x in range(upper + 1):
         depth = (x + 1).bit_length() - 1
         limit = limits[depth]
-        if x == 0:
-            row = 0
-        else:
-            row = reached[(x - 1) >> 1]
-            if row is not None and row >= 0:
+        row = read = 0
+        if x:
+            parent = (x - 1) >> 1
+            row = rows[parent]
+            read = reads[parent]
+            if read == depth - 1:
                 cell = cells[row + ((x - 1) & 1)]
-                if cell is None:
-                    row = ~(depth - 1)
-                elif cell[1] != BLANK or cell[2] != 1:
-                    row = None
-                elif cell[3] == HALT:
-                    row = ~depth
-                else:
+                if cell is not None and cell[1] == BLANK and cell[2] == 1:
                     row = cell[0]
-        reached.append(row)
-        if row is None:
-            result = run(table, x, limit)
-            yield result.steps if result.halted else None
-            continue
-        if row < 0:
-            steps = ~row
-        elif cells[row + BLANK] is None:
+                    read = depth
+        rows.append(row)
+        reads.append(read)
+        if read == depth and cells[row + BLANK] is None:
             steps = depth
         else:
-            steps = _tail_steps(cells, row, depth, limit)
+            tape = dict(enumerate(map(int, to_dyadic(x)[read:]), read)) if read < depth else {}
+            steps = _tail_steps(cells, row, read, tape, limit)
         yield None if steps is None or steps > limit else steps
 
 
-def _tail_steps(cells: list, row: int, head: int, limit: int) -> int | None:
-    """Steps of a run that has read and erased a string of length `head`,
-    from `row` on a blank tape, or None when it does not halt within
-    `limit`.  The same moves as `machine._simulate`, which starts at
-    step 0 on the input."""
-    written: dict[int, int] = {}
+def _tail_steps(cells: list, row: int, head: int, tape: dict, limit: int) -> int | None:
+    """Steps of a run that has read and erased the first `head` symbols of
+    its input and is now at `row`, with `tape` holding the cells that are
+    not blank, or None when it does not halt within `limit`.  The same
+    moves as `machine._simulate`, which starts at step 0 on the input."""
     steps = head
     while True:
-        cell = cells[row + written.get(head, BLANK)]
+        cell = cells[row + tape.get(head, BLANK)]
         if cell is None:
             return steps
         if steps >= limit:
             return None
-        row, written[head], move, state = cell
+        row, tape[head], move, state = cell
         head += move
         if head < 0:
             head = 0
@@ -226,7 +217,8 @@ def measure_b(q: QuasiTrivialMachine) -> int:
     plus the dispatch slack.  Deterministic and always >= 1.
 
     The runtimes on x = 0..k come from one walk over the machine's trie
-    (`_run_steps`), equal to one run of up to _MEASURE_FUEL steps per x."""
+    (`_run_steps`), where each x resumes where its erasing read stopped;
+    they equal one run of up to _MEASURE_FUEL steps per x."""
     worst = 0
     for x, steps in enumerate(_run_steps(q.table, q.k, lambda depth: _MEASURE_FUEL)):
         if steps is None:
@@ -258,8 +250,9 @@ def verify_no_interrupt(record: EmbeddingRecord, test_window: int = 200) -> NoIn
     exhausts its fuel when s > _MEASURE_FUEL.  The check therefore fails
     at x exactly when the run takes more than min(|x|^2 + b_m,
     _MEASURE_FUEL) steps.  One walk over the machine's trie
-    (`_run_steps`) gives every x's step count under that limit, as one
-    clocked run per x would, and the report names the least failing x."""
+    (`_run_steps`), resuming each x where its erasing read stopped, gives
+    every x's step count under that limit, as one clocked run per x
+    would, and the report names the least failing x."""
     table = decode_machine(record.m)
     clock = ClockSpec(2, record.b_m)
     upper = max(record.k, test_window)

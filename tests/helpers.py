@@ -250,16 +250,25 @@ def reference_triple_decode(n: int) -> tuple[int, int, int]:
     return m, a, b
 
 
+def g_star(index: BgsIndex, x: int) -> bool:
+    """The guess predicate: true when the indexed pair's output on x
+    satisfies x."""
+    return sat.verify_pair(x, run_clocked(index.table(), index.clock, x).output) == 1
+
+
+def not_g(index: BgsIndex, z: int) -> bool:
+    """True when z = (x, y) proves the pair wrong: y satisfies x, its output does not."""
+    if sat.verifier(z) != 1:
+        return False
+    x, _ = unpair(z)
+    return not g_star(index, x)
+
+
 def reference_counterexample(index: BgsIndex, budget: int) -> CounterexampleResult:
     """The literal z-order mu-search that `bgs.counterexample` replaces: the
-    least z < budget that V accepts while the machine's output on x fails,
-    where (x, y) = unpair(z).  No memo, no table, no cache."""
-    table, clock = index.table(), index.clock
+    least z < budget with not_g(index, z).  No memo, no table, no cache."""
     for z in range(budget):
-        if sat.verifier(z) != 1:
-            continue
-        x, _ = unpair(z)
-        if sat.verify_pair(x, run_clocked(table, clock, x).output) == 0:
+        if not_g(index, z):
             return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
     return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
 

