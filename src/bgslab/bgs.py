@@ -32,25 +32,17 @@ budget and below its answer.  Its memory is O(sqrt(z)) in the largest z
 any search reached, since pair(x, 0) = x(x + 1)/2 bounds the codes x
 touched, and does not grow with the number of indices searched.
 
-The machine side is memoized too.  A clock enters a run's outcome only
-through its step limit, and a limit cannot matter to a run that halted
-within it, so each decoded table keeps, in its `outcomes` field, one entry
-per input x it was run on: the step count and the verdict of a run that
-halted, or the largest limit under which it had not halted and the verdict
-on output 0.  Every index with the same table object shares those
-entries: every unparsable m decodes to NULL_MACHINE, and decode_machine
-keeps the table of every m below 2^64 in a bounded LRU, so every index
-with the same such m gets the same table; a larger m keeps only its last
-table.  A run that no entry settles under the index's limit is simulated
-and its outcome recorded.  The memo's memory is one entry per
-witness-table entry walked, per live table.
-
-Each decoded table also keeps, in its `answer` field, the answer of one
-search: its least counterexample z, the largest step count S among the
-entries it walked, and the witness table it walked.  A search records it
-only when its walk started at z = 0, found z, and settled every entry up
-to z as a halted run.  A later index with the same table object, the same
-witness table and clock offset b >= S is answered without a walk, because
+The machine side is memoized per decoded table.  Every index with the
+same table object shares its memo: every unparsable m decodes to
+NULL_MACHINE, and decode_machine keeps the table of every m below 2^64 in
+a bounded LRU, so every index with the same such m gets the same table; a
+larger m keeps only its last table.  The table keeps, in its `answer`
+field, the answer of one search: its least counterexample z, the largest
+step count S among the entries it walked, and the witness table it
+walked.  A search records it only when its walk started at z = 0, found
+z, and ran every entry up to z to a halt.  A later index with the same
+table object, the same witness table and clock offset b >= S is answered
+without a walk, because
 
 * every step limit |x|^a + b is at least b >= S,
 * so each of those entries halts again, after the same steps and with the
@@ -60,7 +52,7 @@ witness table and clock offset b >= S is answered without a walk, because
 which is FOUND z when z < budget and EXHAUSTED at the budget otherwise.
 Nothing is recorded by a walk resumed from a cache's exhausted bound (the
 entries below it were not run under its clock), by an exhausted search,
-or by a walk that settled any entry as a stopped run.  A halted run's
+or by a walk in which the clock stopped any entry's run.  A halted run's
 steps and output do not depend on its clock, so two answers from one
 witness table are equal, in z and in S.
 """
@@ -85,7 +77,6 @@ from .machine import (
     TransitionTable,
     decode_machine,
     run_clocked,
-    step_limit,
 )
 
 
@@ -98,6 +89,8 @@ class BgsIndex(namedtuple("BgsIndex", "n m a b")):
     __slots__ = ()
 
     def __new__(cls, n: int, m: int, a: int, b: int) -> "BgsIndex":
+        if n < 0 or m < 0:
+            raise ValueError("an index and its machine code must be >= 0")
         # the clock's fields, checked here because a search answered from
         # its table's memo reads b without building the clock
         if a < 1 or b < 1:
@@ -203,30 +196,6 @@ class _WitnessTable:
 _TABLE = _WitnessTable()
 
 
-def _settle(table: TransitionTable, clock: ClockSpec, x: int) -> tuple[bool, int, bool]:
-    """The outcome (halted, steps, fails) that settles the clocked run of
-    table on x: the table's outcome memo entry when it settles the run
-    under this clock's limit, else the outcome of one run, which it records.
-
-    An entry is (halted, steps, fails): a run that halted after `steps`
-    steps, or one stopped at the limit `steps`, and its verdict.  Every
-    entry is a true statement about the table, so threads racing on one
-    input can at worst replace an entry by a weaker one."""
-    known = table.outcomes.get(x)
-    if known is not None:
-        halted, steps, _ = known
-        limit = step_limit(clock, x)
-        if halted and (limit is None or steps <= limit):
-            return known
-        if not halted and limit is not None and limit <= steps:
-            return known
-    result = run_clocked(table, clock, x)
-    outcome = (result.halted, result.steps, sat.verify_pair(x, result.output) == 0)
-    if result.halted or known is None or not known[0]:  # a halted entry says more
-        table.outcomes[x] = outcome
-    return outcome
-
-
 def counterexample(index: BgsIndex, budget: int,
                    cache: "ResultCache | None" = None) -> CounterexampleResult:
     """Budgeted mu-search for the least failing pair z of the indexed machine.
@@ -235,10 +204,9 @@ def counterexample(index: BgsIndex, budget: int,
     (z, S) from the current witness table and the index's clock offset is
     b >= S (see the module docstring): FOUND z when z < budget, else
     EXHAUSTED at the budget.  Otherwise walks the shared witness table from
-    its first entry, settling each from the table's outcome memo (one entry
-    per input run, held as long as the table object lives) or else by one
-    clocked run, and returns the first entry below the budget whose output
-    fails V; a walk from z = 0 that found z with every entry up to it
+    its first entry, running the machine once under the index's clock on
+    each entry's x, and returns the first entry below the budget whose
+    output fails V; a walk from z = 0 that found z with every run up to it
     halted records its answer.  This equals the literal search over
     z = 0, 1, ..., budget - 1, field for field: `scanned` is z + 1 when
     found, else the budget, the range of z settled.
@@ -291,12 +259,12 @@ def _walk(table: TransitionTable, clock: ClockSpec, witnesses: _WitnessTable,
     settled = start == 0  # every entry from z = 0 so far was a halted run
     most = 0  # the largest step count among them
     for z, x in witnesses.walk(start, budget):
-        halted, steps, fails = _settle(table, clock, x)
-        if not halted:
+        result = run_clocked(table, clock, x)
+        if not result.halted:
             settled = False
-        elif steps > most:
-            most = steps
-        if fails:
+        elif result.steps > most:
+            most = result.steps
+        if sat.verify_pair(x, result.output) == 0:
             if settled:
                 # any two answers from one witness table are equal
                 table.answer = (z, most, witnesses)

@@ -342,10 +342,10 @@ def cmd_bgs_counterexample(args, cfg):
 
 def cmd_bgs_scan(args, cfg):
     from . import bgs
-    cache, cache_path = _load_cache(args, cfg)
-    budget = args.budget if args.budget is not None else cfg.budget_default
     if args.to < args.start:
         raise UsageError("--to must be >= --from")
+    cache, cache_path = _load_cache(args, cfg)
+    budget = args.budget if args.budget is not None else cfg.budget_default
     rows = []
     found = 0
     for n in range(args.start, args.to + 1):
@@ -402,8 +402,8 @@ def cmd_qt_embed(args, cfg):
 
 def cmd_qt_verify(args, cfg):
     from . import quasitrivial
-    cache, cache_path = _load_cache(args, cfg)
     cutoffs = _parse_range(args.cutoffs, cfg.k_max)
+    cache, cache_path = _load_cache(args, cfg)
     checks = quasitrivial.lemma_check(cutoffs, budget=args.budget,
                                       window=args.window, cache=cache,
                                       k_max=cfg.k_max)

@@ -60,15 +60,14 @@ class TransitionTable:
     halts.  Rows go by transitions, not by `state_count`, so a table with
     huge state numbers stays small.
 
-    `outcomes` and `answer` are not part of the machine: they are the
-    memos that `bgs.counterexample` keeps for every index sharing this
-    table object.  `outcomes` holds the clocked-run outcome per input, so
-    the machine runs once per input; `answer` holds one search's least
-    counterexample z, the largest step count S of the runs that settled it
-    and the witness table it walked, so an index with clock offset b >= S
-    is answered without a walk.  Unlike the package's other records, which
-    are named tuples, a table is a plain object, so that `bgs` can set its
-    memos; like its `transitions` dict, it is not hashable.
+    `answer` is not part of the machine: it is the memo that
+    `bgs.counterexample` keeps for every index sharing this table object.
+    It holds one search's least counterexample z, the largest step count S
+    of the runs that settled it and the witness table it walked, so an
+    index with clock offset b >= S is answered without a walk.  Unlike the
+    package's other records, which are named tuples, a table is a plain
+    object, so that `bgs` can set its memo; like its `transitions` dict, it
+    is not hashable.
     """
 
     __hash__ = None
@@ -97,7 +96,6 @@ class TransitionTable:
             cells[rows[q] + s] = (rows.get(nxt, halting), write,
                                   1 if move == MOVE_R else -1, nxt)
         self.step_table = cells
-        self.outcomes: dict[int, tuple[bool, int, bool]] = {}
         self.answer: tuple[int, int, object] | None = None
 
     def __eq__(self, other):
@@ -276,17 +274,18 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # distinct value's digits once likewise.
 #
 # decode_machine memoizes its tables by size of m, because a decoded table
-# holds its search memos (`outcomes` and `answer`), and every index that
-# gets the same table object shares them.  A table whose m has at most 64
-# bits (at most 41 digits, so at most 8 transitions) is kept in an LRU of
-# 4096 entries: a block of contiguous indices repeats few such m (190 to
-# 460 distinct m divisible by 3 in 20 000 indices below 10^6), so each is
-# parsed, and each of its machine runs made, once rather than per index.
-# Any larger m keeps only the last result, in a one-entry memo: the cutoff
-# pipeline decodes the same m for the no-interrupt check and for both
+# holds its search memo (`answer`), and every index that gets the same
+# table object shares it.  A table whose m has at most 64 bits (at most 41
+# digits, so at most 8 transitions) is kept in an LRU of 4096 entries: a
+# block of contiguous indices repeats few such m (190 to 460 distinct m
+# divisible by 3 in 20 000 indices below 10^6), so each is parsed once
+# rather than per index, and the answer its first search records answers
+# every later index of that m whose offset b is at least S.  Any larger m
+# keeps only the last result, in a one-entry memo: the cutoff pipeline
+# decodes the same m for the no-interrupt check and for both
 # counterexample searches, and a larger memo would keep alive every cutoff
 # table of a long lemma_check range, each with a Goedel number of up to
-# millions of bits and an outcome entry per input run.
+# millions of bits.
 
 _LEAF_WIDTH = 6
 # _LEAVES[w][r] is r (0 <= r < 3^w) as exactly w base-3 digits
@@ -343,7 +342,9 @@ def decode_machine(m: int) -> TransitionTable:
     with the same m and must not be modified: the tables of m below 2^64
     stay in an LRU of 4096 entries, and a larger m keeps only the last
     one.  `decode_machine.cache_clear()` empties both memos."""
-    if m % 3 != 0 or m == 0:
+    if m <= 0 or m % 3:
+        if m < 0:
+            raise ValueError(f"expected a natural number, got {m}")
         return NULL_MACHINE
     if m < _SMALL_GOEDEL:
         return _decode_small(m)

@@ -99,6 +99,28 @@ def test_a_hand_built_index_needs_a_positive_clock(a, b):
         bgs.BgsIndex(n=triple_encode(3, max(a, 0), b), m=3, a=a, b=b)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: bgs.BgsIndex(n=-5, m=3, a=1, b=1),
+    lambda: bgs.BgsIndex(n=17, m=-3, a=1, b=1),
+    lambda: bgs.BgsIndex._make((-5, 3, 1, 1)),
+    lambda: bgs.BgsIndex.from_natural(17)._replace(n=-5),
+    lambda: bgs.BgsIndex.from_natural(17)._replace(m=-6),
+], ids=["n", "m", "_make", "_replace-n", "_replace-m"])
+def test_a_hand_built_index_needs_natural_fields(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_a_rejected_index_leaves_the_cache_file_loadable(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = bgs.ResultCache()
+    bgs.counterexample(bgs.BgsIndex.from_natural(17), 200, cache)
+    with pytest.raises(ValueError):
+        bgs.counterexample(bgs.BgsIndex(n=-5, m=3, a=1, b=1), 200, cache)
+    cache.save(path)
+    assert bgs.ResultCache.load(path).lookup(17, 200).z == 93
+
+
 def test_an_index_repr_names_its_fields():
     assert repr(bgs.BgsIndex.from_natural(699)) == "BgsIndex(n=699, m=3, a=2, b=5)"
 
@@ -368,7 +390,7 @@ def test_search_decides_only_formulas_below_its_answer(monkeypatch):
     assert decided == [0]
 
 
-# --- the outcome memo against the literal search -------------------------------
+# --- shared tables against the literal search ----------------------------------
 
 DELAY = 6
 
@@ -423,9 +445,8 @@ def test_memoized_searches_equal_literal_search_over_clock_sequences(choice, sea
                                     [(1, 1), (1, 2), (2, 1), (1, 1)]])
 def test_one_input_interrupted_under_one_clock_halts_under_another(clocks):
     # x = 11, the entry at z = 93: interrupted (output 0) it fails V, halted
-    # (output "1") it does not; both outcomes stay in the memo
+    # (output "1") it does not
     m, table = shared_table(LATE_ONE)
-    table.outcomes.clear()
     steps = len(codec.to_dyadic(11)) + DELAY
     interrupted = []
     for a, b in clocks:
@@ -433,7 +454,6 @@ def test_one_input_interrupted_under_one_clock_halts_under_another(clocks):
         interrupted.append(got.found)
         assert got.found == (step_limit(ClockSpec(a, b), 11) < steps)
     assert True in interrupted and False in interrupted
-    assert table.outcomes[11] == (True, steps, False)  # the halted entry is kept
 
 
 def test_null_machine_indices_share_their_runs(monkeypatch):
@@ -451,7 +471,7 @@ def test_null_machine_indices_share_their_runs(monkeypatch):
     indices = (bgs.BgsIndex.from_natural(n) for n in itertools.count(10 ** 5))
     null = list(itertools.islice((ix for ix in indices if ix.table() is NULL_MACHINE), 2000))
     assert null[-1].n - null[0].n < 3000  # consecutive but for the parsable m
-    NULL_MACHINE.outcomes.clear()
+    NULL_MACHINE.answer = None
     monkeypatch.setattr(bgs, "run_clocked", counting_run)
     monkeypatch.setattr(sat, "verify_pair", counting_verify)
     assert all(bgs.counterexample(ix, 10 ** 5).z == 93 for ix in null)
@@ -460,7 +480,7 @@ def test_null_machine_indices_share_their_runs(monkeypatch):
 
 def test_a_second_pass_over_a_block_converts_no_digits_and_runs_no_machine(monkeypatch):
     # every m of the block is below 2^64, so its table stays decoded with
-    # its memos, and the second pass is answered from them
+    # its memo, and the second pass is answered from it
     calls = {"trits": 0, "run": 0}
     to_trits, run_clocked = machine._to_trits, bgs.run_clocked
 
@@ -495,7 +515,7 @@ small_goedel_numbers = st.one_of(
        st.lists(st.tuples(clocks, budgets), min_size=1, max_size=3))
 def test_memoized_searches_over_small_goedel_numbers_equal_literal_search(ms, searches):
     # the tables of these m stay decoded between the searches, so every
-    # search after the first of an m starts from its table's memos
+    # search after the first of an m starts from its table's memo
     for (a, b), budget in searches:
         for m in ms:
             ix = bgs.BgsIndex(triple_encode(m, a, b), m, a, b)
@@ -505,7 +525,6 @@ def test_memoized_searches_over_small_goedel_numbers_equal_literal_search(ms, se
 # --- the answer memo against the literal search --------------------------------
 
 def fresh_memos(table: TransitionTable) -> None:
-    table.outcomes.clear()
     object.__setattr__(table, "answer", None)
 
 
@@ -592,7 +611,7 @@ def test_exhausted_and_stopped_searches_record_no_answer():
     # LATE_ONE under (1, 1) is stopped on x = 0 and on x = 11, whose entry 93 fails
     m, table = shared_table(LATE_ONE)
     fresh_memos(table)
-    for _ in range(2):  # by a run, then from the stopped memo entries
+    for _ in range(2):  # a stopped run leaves nothing to answer from
         assert search_both(m, table, 1, 1, 10 ** 5).z == 93
         assert table.answer is None
     # a stopped entry below a halted failing one: x = 0 loops, x = 11 halts
@@ -600,7 +619,6 @@ def test_exhausted_and_stopped_searches_record_no_answer():
     m, table = shared_table(TransitionTable(1, {(0, BLANK): Transition(0, BLANK, MOVE_R)}))
     fresh_memos(table)
     assert search_both(m, table, 2, 3, 10 ** 5).z == 93
-    assert table.outcomes[0][0] is False and table.outcomes[11] == (True, 0, True)
     assert table.answer is None
 
 

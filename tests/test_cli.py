@@ -123,6 +123,20 @@ def test_usage_error_exits_two(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bgs", "scan", "--from", "5", "--to", "3"],
+    ["qt", "verify", "--cutoffs", "5..3"],
+])
+def test_a_usage_error_is_reported_before_the_cache_is_read(tmp_path, argv):
+    cache = tmp_path / "cache.json"
+    cache.write_text("not json")
+    proc = subprocess.run([sys.executable, "-m", "bgslab", *argv, "--cache", str(cache)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert cache.read_text() == "not json"
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

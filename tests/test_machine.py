@@ -306,6 +306,12 @@ def test_zero_decodes_to_null_machine():
     assert decode_machine(0) == NULL_MACHINE
 
 
+@pytest.mark.parametrize("m", [-1, -3, -6])
+def test_a_negative_number_is_no_machine(m):
+    with pytest.raises(ValueError, match="natural"):
+        decode_machine(m)
+
+
 def test_null_machine_roundtrip():
     # every unparsable number decodes to NULL_MACHINE, so pin the number too
     assert encode_machine(NULL_MACHINE) == 0
