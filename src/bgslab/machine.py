@@ -161,15 +161,21 @@ def _simulate(table: TransitionTable, input_value: int, limit: int | None,
     (halted, steps, tape), the tape one symbol per byte.
 
     `halted` is true when the machine can make no further move, including
-    the case where that happens at exactly `limit` steps.
+    the case where that happens at exactly `limit` steps.  The run is the
+    one step loop, `_resume`, from state 0 on the input's tape.
     """
     tape = bytearray(to_dyadic(input_value), "ascii").translate(_TAPE_SYMBOLS)
+    return _resume(table.step_table, tape, limit, on_step, 0, 0, 0)
+
+
+def _resume(cells: list, tape: bytearray, limit: int | None, on_step: StepObserver | None,
+            row: int, head: int, steps: int) -> tuple[bool, int, bytearray]:
+    """Continue, as `_simulate` runs, a run at `row` of the step table
+    `cells` after `steps <= limit` applied steps, with the head at `head
+    <= len(tape)` on `tape`.  The state is known only from the transition
+    into it, so only a run from row 0 (state 0) may pass `on_step`."""
     size = len(tape)
-    cells = table.step_table
-    row = 0  # the row of state 0
     state = 0
-    head = 0
-    steps = 0
     while True:
         sym = tape[head] if head < size else BLANK
         cell = cells[row + sym]

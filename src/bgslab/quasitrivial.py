@@ -19,24 +19,26 @@ runtime below the cutoff plus an analytic slack for the dispatch depth,
 so the quadratic clock C_(2, b_m) can never interrupt it.  Both that
 measurement and the no-interrupt check take their runtimes from one walk
 over the trie of input strings.  Every input's run resumes where its
-erasing read stopped: from the state reached once the leading symbols
-read by transitions that write blank and move right are gone, with the
-unread rest on the tape.  That gives the step counts that one simulated
-run per input would.
+erasing read stopped, in the simulator's one step loop: from the state
+reached once the leading symbols read by transitions that write blank
+and move right are gone, with the unread rest on the tape.  That gives
+the step counts that one simulated run per input would.
 
 Embedding the machine at index <m, 2, b_m> then forces the least
 counterexample of the embedded pair to land beyond the cutoff;
 `lemma_check` checks that against an independent oracle: one enumeration
 of formula codes x > k and, per satisfiable candidate, one enumeration of
 truth tuples.  The oracle stops at the first x with pair(x, 0) >= the
-best candidate so far, since pair(x, y) >= pair(x, 0) = x(x + 1)/2.
+best candidate so far, since pair(x, y) >= pair(x, 0) = x(x + 1)/2.  Its
+restriction identity compares that index-side search with the compiled
+table's own value, each x run free on the table `build_qt` returned.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from . import bgs, sat
+from . import bgs, machine, sat
 from .codec import decode_cnf, pair, to_dyadic, triple_encode
 from .machine import (
     BLANK,
@@ -157,12 +159,13 @@ def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int
     node reads one symbol past its parent only when the parent read its
     whole string.  After those j steps the cells left of the head at j
     are blank and the rest hold the unread input, so every x is settled
-    one way: its run resumes from that row at step j with the unread
-    suffix on the cells from j on (`_tail_steps`).  A transition into
-    HALT leads to the step table's row of None cells, so a read that
-    stops there needs no rule of its own.  A fully read node whose row
-    has no blank transition halts after |x| steps without a resumed run:
-    the compiled machine's eraser settles its whole subtree that way.
+    one way: the simulator's step loop (`machine._resume`) resumes its run
+    from that row at step j, on j blank cells and the unread suffix, if
+    any.  A run past its limit within j steps needs no resumed loop, nor
+    does a fully read node whose row has no blank transition: it halts
+    after |x| steps, as the compiled machine's eraser does on its whole
+    subtree.  A transition into HALT leads to the step table's row of
+    None cells, so a read that stops there needs no rule of its own.
     """
     cells = table.step_table
     limits = [limit_at(depth) for depth in range((upper + 1).bit_length())]
@@ -183,33 +186,16 @@ def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int
                     read = depth
         rows.append(row)
         reads.append(read)
-        if read == depth and cells[row + BLANK] is None:
-            steps = depth
+        if read > limit:
+            yield None
+        elif read == depth and cells[row + BLANK] is None:
+            yield depth
         else:
-            tape = dict(enumerate(map(int, to_dyadic(x)[read:]), read)) if read < depth else {}
-            steps = _tail_steps(cells, row, read, tape, limit)
-        yield None if steps is None or steps > limit else steps
-
-
-def _tail_steps(cells: list, row: int, head: int, tape: dict, limit: int) -> int | None:
-    """Steps of a run that has read and erased the first `head` symbols of
-    its input and is now at `row`, with `tape` holding the cells that are
-    not blank, or None when it does not halt within `limit`.  The same
-    moves as `machine._simulate`, which starts at step 0 on the input."""
-    steps = head
-    while True:
-        cell = cells[row + tape.get(head, BLANK)]
-        if cell is None:
-            return steps
-        if steps >= limit:
-            return None
-        row, tape[head], move, state = cell
-        head += move
-        if head < 0:
-            head = 0
-        steps += 1
-        if state == HALT:
-            return steps
+            tape = bytearray((BLANK,)) * read
+            if read < depth:
+                tape.extend(map(int, to_dyadic(x)[read:]))  # the unread suffix
+            halted, steps, _ = machine._resume(cells, tape, limit, None, row, read, read)
+            yield steps if halted else None
 
 
 def measure_b(q: QuasiTrivialMachine) -> int:
@@ -307,14 +293,20 @@ def verify_crucial_step(record: EmbeddingRecord, budget: int | None = None,
     return result, z_pred
 
 
-def star_counterexample(record: EmbeddingRecord, budget: int) -> bgs.CounterexampleResult:
-    """The counterexample value of a cutoff machine itself, defined through
-    its embedding: build the index from parts rather than by decoding.
-
-    Never cached: a cache entry for record.n would answer this search with
-    the index-side value it is meant to check."""
-    index = bgs.BgsIndex(n=record.n, m=record.m, a=2, b=record.b_m)
-    return bgs.counterexample(index, budget)
+def star_counterexample(q: QuasiTrivialMachine,
+                        budget: int) -> bgs.CounterexampleResult | None:
+    """The cutoff machine's own counterexample value: the first entry of
+    the shared witness table below budget whose output fails V, each x run
+    free for up to _MEASURE_FUEL steps on the table `build_qt` compiled,
+    which is never decoded and keeps no memo; None when a run uses up its
+    fuel.  Never cached, so the index-side value cannot answer it."""
+    for z, x in bgs._TABLE.walk(0, budget):
+        result = machine.run(q.table, x, _MEASURE_FUEL)
+        if not result.halted:
+            return None
+        if sat.verify_pair(x, result.output) == 0:
+            return bgs.CounterexampleResult(bgs.CounterexampleStatus.FOUND, z, z + 1, budget)
+    return bgs.CounterexampleResult(bgs.CounterexampleStatus.EXHAUSTED, None, budget, budget)
 
 
 class LemmaCheckRow(NamedTuple):
@@ -338,11 +330,12 @@ def lemma_check(ks, budget: int | None = None, window: int = 200,
     identity."""
     rows = []
     for k in ks:
-        record = embed(build_qt(k, k_max=k_max))
+        q = build_qt(k, k_max=k_max)
+        record = embed(q)
         ni = verify_no_interrupt(record, window)
         crucial, z_pred = verify_crucial_step(record, budget, cache)
-        star = star_counterexample(record, crucial.budget)
-        equal = star.found and star.z == crucial.z
+        star = star_counterexample(q, crucial.budget)
+        equal = star is not None and star.found and star.z == crucial.z
         rows.append(LemmaCheckRow(k=k, m=record.m, b_m=record.b_m, n=record.n,
                                   status=crucial.status.value, z=crucial.z,
                                   z_pred=z_pred, no_interrupt=ni.ok,

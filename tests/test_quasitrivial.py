@@ -232,15 +232,16 @@ def test_no_interrupt_equals_the_two_run_form_on_every_window():
 
 def test_the_walk_resumes_no_run_with_unread_input_on_compiled_tables(monkeypatch):
     # every input string of a compiled table is read by transitions that
-    # erase and move right, so each run resumes on a blank tape
-    tail_steps = qt._tail_steps
+    # erase and move right, so each run resumes on a tape of blanks
+    resume = machine._resume
     resumes = []
 
-    def resumed(cells, row, head, tape, limit):
-        assert not tape, "a run resumed with unread input"
+    def resumed(cells, tape, limit, on_step, row, head, steps):
+        assert set(tape) <= {BLANK}, "a run resumed with unread input"
+        assert on_step is None and head == steps == len(tape)
         resumes.append(head)
-        return tail_steps(cells, row, head, tape, limit)
-    monkeypatch.setattr(qt, "_tail_steps", resumed)
+        return resume(cells, tape, limit, on_step, row, head, steps)
+    monkeypatch.setattr(machine, "_resume", resumed)
     for k in (0, 1, 11, 64, 300):
         q = qt.build_qt(k, k_max=300)
         assert qt.measure_b(q) >= 1
@@ -392,10 +393,33 @@ def test_restriction_z_matches_oracle_pointwise():
     assert len(set(predictions)) == 1
 
 
-def test_star_side_equals_index_side(records):
-    star = qt.star_counterexample(records[4], 200)
+def test_star_side_equals_index_side(machines, records):
+    star = qt.star_counterexample(machines[4], 200)
     direct = bgs.counterexample(bgs.BgsIndex.from_natural(records[4].n), 200)
     assert star == direct
+
+
+def test_a_machine_side_run_out_of_fuel_is_no_answer(machines):
+    # LOOPER outputs 0 if stopped, which fails V at x = 11; a stop must not
+    # be read as that verdict
+    assert qt.star_counterexample(machines[4]._replace(table=LOOPER), 200) is None
+
+
+def test_the_machine_side_runs_the_compiled_table(monkeypatch):
+    # the index-side search runs the decoded table; the machine side must
+    # run the table build_qt returned, or the identity compares a search
+    # with its own memo
+    compiled, runs = [], []
+    build_qt, simulate = qt.build_qt, machine._simulate
+    monkeypatch.setattr(qt, "build_qt",
+                        lambda *args, **kw: compiled.append(build_qt(*args, **kw)) or compiled[-1])
+    monkeypatch.setattr(machine, "_simulate",
+                        lambda table, *args: runs.append(table) or simulate(table, *args))
+    for k in (0, 1, 2, 11, 64):
+        runs.clear()
+        (row,) = qt.lemma_check([k], k_max=64)
+        assert row.passed
+        assert any(table is compiled[-1].table for table in runs), k
 
 
 def test_restriction_check_ignores_a_wrong_cached_answer(records):
@@ -454,8 +478,61 @@ def test_lemma_check_all_green():
     assert [row.k for row in rows] == [0, 1, 2, 3]
 
 
+# --- negative controls: each mutation makes exactly one check false ----------
+
+def failing_checks(row: qt.LemmaCheckRow) -> list[str]:
+    checks = {"z == z_pred": row.z == row.z_pred, "no_interrupt": row.no_interrupt,
+              "restriction_equal": row.restriction_equal}
+    return [name for name, ok in checks.items() if not ok]
+
+
+def test_a_wrong_prediction_fails_only_the_crucial_step(monkeypatch):
+    oracle = qt.predicted_least_counterexample
+    monkeypatch.setattr(qt, "predicted_least_counterexample", lambda k: oracle(k) + 1)
+    (row,) = qt.lemma_check([3])
+    assert (row.z, row.z_pred) == (93, 94)
+    assert failing_checks(row) == ["z == z_pred"] and not row.passed
+
+
+def test_a_slow_embedded_machine_fails_only_the_no_interrupt_check(monkeypatch):
+    # the embedded machine loops on x = 6, a depth-limit node beyond the
+    # cutoff 5 that no search runs; b_m is measured on the compiled table
+    build_qt = qt.build_qt
+
+    def slow(k, k_max=qt.DEFAULT_K_MAX):
+        q = build_qt(k, k_max)
+        looping = TransitionTable(q.table.state_count, {
+            **q.table.transitions, (6, BLANK): Transition(6, BLANK, MOVE_R)})
+        return q._replace(m=encode_machine(looping))
+    monkeypatch.setattr(qt, "build_qt", slow)
+    (row,) = qt.lemma_check([5])
+    assert failing_checks(row) == ["no_interrupt"] and not row.passed
+
+
+def test_a_compiled_table_unlike_its_goedel_number_fails_only_the_restriction(monkeypatch):
+    # after m is computed, the tail for x = 11 writes witness 1 ("0"), which
+    # fails [[+1]], instead of 2 ("1"); the index side decodes m and keeps 2
+    build_qt = qt.build_qt
+    changed = []
+
+    def miswritten(k, k_max=qt.DEFAULT_K_MAX):
+        q = build_qt(k, k_max)
+        transitions = dict(q.table.transitions)
+        for key, t in transitions.items():
+            if t.next_state == HALT and t.write == 1:
+                transitions[key] = t._replace(write=0)
+                changed.append(key)
+        return q._replace(table=TransitionTable(q.table.state_count, transitions))
+    monkeypatch.setattr(qt, "build_qt", miswritten)
+    (row,) = qt.lemma_check([11])
+    assert len(changed) == 1
+    assert row.z == row.z_pred > 93
+    assert failing_checks(row) == ["restriction_equal"] and not row.passed
+
+
 def test_lemma_check_decodes_the_machine_once(monkeypatch):
-    # the no-interrupt check and both counterexample searches share one decode
+    # the no-interrupt check and the index-side search share one decode; the
+    # machine-side search runs the compiled table, which is never decoded
     calls = []
     to_trits = machine._to_trits
     monkeypatch.setattr(machine, "_to_trits", lambda n: calls.append(n) or to_trits(n))
