@@ -64,7 +64,6 @@ import enum
 import heapq
 import json
 import os
-import threading
 from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
@@ -156,30 +155,28 @@ class _WitnessTable:
         self.xs: list[int] = []
         self._pending: list[tuple[int, int, bool]] = []  # (key, x, key is exact)
         self._next_x = 0
-        self._lock = threading.Lock()
 
     def _grow(self, limit: int) -> bool:
         """Append the next entry if its z is below limit; report whether it was."""
-        with self._lock:
-            pending = self._pending
-            while True:
-                while not pending or pair(self._next_x, 0) < pending[0][0]:
-                    x = self._next_x
-                    self._next_x += 1
-                    formula = decode_cnf(x)
-                    if formula is not None:  # invalid codes are unsatisfiable
-                        heapq.heappush(pending, (pair(x, 2 ** formula.var_count - 1), x, False))
-                key, x, exact = pending[0]
-                if key >= limit:
-                    return False
-                heapq.heappop(pending)
-                if exact:
-                    self.zs.append(key)
-                    self.xs.append(x)
-                    return True
-                decided = sat.decider(x)
-                if decided.satisfiable:
-                    heapq.heappush(pending, (pair(x, decided.witness), x, True))
+        pending = self._pending
+        while True:
+            while not pending or pair(self._next_x, 0) < pending[0][0]:
+                x = self._next_x
+                self._next_x += 1
+                formula = decode_cnf(x)
+                if formula is not None:  # invalid codes are unsatisfiable
+                    heapq.heappush(pending, (pair(x, 2 ** formula.var_count - 1), x, False))
+            key, x, exact = pending[0]
+            if key >= limit:
+                return False
+            heapq.heappop(pending)
+            if exact:
+                self.zs.append(key)
+                self.xs.append(x)
+                return True
+            decided = sat.decider(x)
+            if decided.satisfiable:
+                heapq.heappush(pending, (pair(x, decided.witness), x, True))
 
     def walk(self, start: int, limit: int):
         """Yield the entries (z, x) with start <= z < limit, in z order."""

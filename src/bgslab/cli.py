@@ -404,8 +404,7 @@ def cmd_qt_verify(args, cfg):
     from . import quasitrivial
     cutoffs = _parse_range(args.cutoffs, cfg.k_max)
     cache, cache_path = _load_cache(args, cfg)
-    checks = quasitrivial.lemma_check(cutoffs, budget=args.budget,
-                                      window=args.window, cache=cache,
+    checks = quasitrivial.lemma_check(cutoffs, budget=args.budget, cache=cache,
                                       k_max=cfg.k_max)
     if cache is not None:
         cache.save(cache_path)
@@ -523,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cutoffs", required=True, metavar="A..B")
     q.add_argument("--budget", type=_positive, metavar="B",
                    help="scan budget (default: derived from the oracle)")
-    q.add_argument("--window", type=_natural, default=200, metavar="W")
     q.add_argument("--cache", metavar="FILE")
     q.add_argument("--out", metavar="FILE")
     q.add_argument("--format", choices=OUTPUT_FORMATS,

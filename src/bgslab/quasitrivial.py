@@ -17,12 +17,12 @@ x, and its children are 2x + 1 and 2x + 2.
 The clock offset b_m is measured from the compiled machine's own worst
 runtime below the cutoff plus an analytic slack for the dispatch depth,
 so the quadratic clock C_(2, b_m) can never interrupt it.  Both that
-measurement and the no-interrupt check take their runtimes from one walk
-over the trie of input strings.  Every input's run resumes where its
-erasing read stopped, in the simulator's one step loop: from the state
-reached once the leading symbols read by transitions that write blank
-and move right are gone, with the unread rest on the tape.  That gives
-the step counts that one simulated run per input would.
+measurement and the no-interrupt certificate, which covers every input,
+take their runtimes from one walk over the trie of input strings.  Every
+input's run resumes where its erasing read stopped, in the simulator's
+one step loop: from the state reached once the leading symbols read by
+transitions that write blank and move right are gone, with the unread
+rest on the tape, as one simulated run per input would.
 
 Embedding the machine at index <m, 2, b_m> then forces the least
 counterexample of the embedded pair to land beyond the cutoff;
@@ -149,8 +149,9 @@ def dispatch_slack(k: int) -> int:
 
 
 def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int]):
-    """For x = 0, 1, ..., upper in turn: the step count of the table's run
-    on x, or None where the run does not halt within limit_at(|x|) steps.
+    """For x = 0, 1, ..., upper in turn: (steps, row, read), with steps the
+    step count of the table's run on x, or None where the run does not halt
+    within limit_at(|x|) steps, and row and read those of x's node (below).
 
     One walk over the trie of input strings, in x order: the string of
     2x + 1 is x's followed by 0, that of 2x + 2 x's followed by 1.  Each
@@ -163,9 +164,8 @@ def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int
     from that row at step j, on j blank cells and the unread suffix, if
     any.  A run past its limit within j steps needs no resumed loop, nor
     does a fully read node whose row has no blank transition: it halts
-    after |x| steps, as the compiled machine's eraser does on its whole
-    subtree.  A transition into HALT leads to the step table's row of
-    None cells, so a read that stops there needs no rule of its own.
+    after |x| steps.  A transition into HALT leads to the step table's row
+    of None cells, so a read that stops there needs no rule of its own.
     """
     cells = table.step_table
     limits = [limit_at(depth) for depth in range((upper + 1).bit_length())]
@@ -187,15 +187,15 @@ def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int
         rows.append(row)
         reads.append(read)
         if read > limit:
-            yield None
+            yield None, row, read
         elif read == depth and cells[row + BLANK] is None:
-            yield depth
+            yield depth, row, read
         else:
             tape = bytearray((BLANK,)) * read
             if read < depth:
                 tape.extend(map(int, to_dyadic(x)[read:]))  # the unread suffix
             halted, steps, _ = machine._resume(cells, tape, limit, None, row, read, read)
-            yield steps if halted else None
+            yield steps if halted else None, row, read
 
 
 def measure_b(q: QuasiTrivialMachine) -> int:
@@ -206,7 +206,7 @@ def measure_b(q: QuasiTrivialMachine) -> int:
     (`_run_steps`), where each x resumes where its erasing read stopped;
     they equal one run of up to _MEASURE_FUEL steps per x."""
     worst = 0
-    for x, steps in enumerate(_run_steps(q.table, q.k, lambda depth: _MEASURE_FUEL)):
+    for x, (steps, _, _) in enumerate(_run_steps(q.table, q.k, lambda depth: _MEASURE_FUEL)):
         if steps is None:
             raise RuntimeError(f"compiled machine failed to halt on {x}")
         worst = max(worst, steps)
@@ -222,34 +222,40 @@ def embed(q: QuasiTrivialMachine) -> EmbeddingRecord:
 class NoInterruptReport(NamedTuple):
     ok: bool
     failed_at: int | None
-    checked: int
 
 
-def verify_no_interrupt(record: EmbeddingRecord, test_window: int = 200) -> NoInterruptReport:
-    """Check that C_(2, b_m) never interrupts the machine and never changes
-    its output or step count, on every x <= max(k, test_window).
+def _enters_eraser(cells: list, cell) -> bool:
+    """Whether the cell writes blank and moves right into an eraser row: one
+    whose cells on 0 and 1 are that cell, and with no transition on blank."""
+    return (cell is not None and cell[1:3] == (BLANK, 1) and cells[cell[0]] == cell
+            and cells[cell[0] + 1] == cell and cells[cell[0] + BLANK] is None)
 
-    A clocked run decides what a comparison with a free run under
-    _MEASURE_FUEL steps would: the same simulator on the same input makes
-    the same moves, so a clocked run that halts after s steps is that free
-    run when s <= _MEASURE_FUEL, output and steps alike, and the free run
-    exhausts its fuel when s > _MEASURE_FUEL.  The check therefore fails
-    at x exactly when the run takes more than min(|x|^2 + b_m,
-    _MEASURE_FUEL) steps.  One walk over the machine's trie
-    (`_run_steps`), resuming each x where its erasing read stopped, gives
-    every x's step count under that limit, as one clocked run per x
-    would, and the report names the least failing x."""
+
+def verify_no_interrupt(record: EmbeddingRecord) -> NoInterruptReport:
+    """Certify that C_(2, b_m) interrupts the machine on no x, so that every
+    clocked run is the free run.  With d = |k|, one walk over the trie
+    (`_run_steps`) runs every x of length <= d under the limit |x|^2 + b_m.
+    Each string of length d + 1, read off the walk's depth-d nodes, must be
+    read by transitions that write blank and move right into an eraser row,
+    so every longer x halts after exactly |x| steps.  failed_at is the least
+    x this cannot vouch for: the first interrupted run, or else the first
+    string of length d + 1 without that shape."""
     table = decode_machine(record.m)
+    cells = table.step_table
     clock = ClockSpec(2, record.b_m)
-    upper = max(record.k, test_window)
-
-    def limit_at(depth: int) -> int:
-        return min(depth ** clock.a + clock.b, _MEASURE_FUEL)
-
-    for x, steps in enumerate(_run_steps(table, upper, limit_at)):
+    depth = len(to_dyadic(record.k))
+    leaves = (1 << depth) - 1  # the first x of length d
+    unvouched = None
+    walk = _run_steps(table, 2 * leaves, lambda length: length ** clock.a + clock.b)
+    for x, (steps, row, read) in enumerate(walk):
         if steps is None:
-            return NoInterruptReport(ok=False, failed_at=x, checked=x + 1)
-    return NoInterruptReport(ok=True, failed_at=None, checked=upper + 1)
+            return NoInterruptReport(ok=False, failed_at=x)
+        if x >= leaves and unvouched is None:
+            if read < depth or not _enters_eraser(cells, cells[row]):
+                unvouched = 2 * x + 1
+            elif not _enters_eraser(cells, cells[row + 1]):
+                unvouched = 2 * x + 2
+    return NoInterruptReport(ok=unvouched is None, failed_at=unvouched)
 
 
 # --- independent oracle ------------------------------------------------------
@@ -322,17 +328,16 @@ class LemmaCheckRow(NamedTuple):
     passed: bool
 
 
-def lemma_check(ks, budget: int | None = None, window: int = 200,
-                cache: bgs.ResultCache | None = None,
+def lemma_check(ks, budget: int | None = None, cache: bgs.ResultCache | None = None,
                 k_max: int = DEFAULT_K_MAX) -> list[LemmaCheckRow]:
-    """Full pipeline per cutoff: build, embed, no-interrupt scan, crucial
+    """Full pipeline per cutoff: build, embed, no-interrupt certificate, crucial
     step against the oracle (z == z_pred >= k + 1), and the restriction
     identity."""
     rows = []
     for k in ks:
         q = build_qt(k, k_max=k_max)
         record = embed(q)
-        ni = verify_no_interrupt(record, window)
+        ni = verify_no_interrupt(record)
         crucial, z_pred = verify_crucial_step(record, budget, cache)
         star = star_counterexample(q, crucial.budget)
         equal = star is not None and star.found and star.z == crucial.z

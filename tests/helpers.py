@@ -11,7 +11,7 @@ from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus, Res
 from bgslab.codec import CODEC_VERSION, from_dyadic, to_dyadic, unpair
 from bgslab.machine import (BLANK, HALT, MACHINE_ENCODING_VERSION, MOVE_L, MOVE_R,
                             NULL_MACHINE, ClockSpec, RunResult, Transition, TransitionTable,
-                            decode_machine, encode_machine, run, run_clocked, step_limit)
+                            decode_machine, encode_machine, run_clocked, step_limit)
 
 # scans right erasing the input block, halts at the first blank: output 0
 ERASER = TransitionTable(1, {
@@ -126,28 +126,29 @@ def reference_run_clocked(table: TransitionTable, clock: ClockSpec, input_value:
     return RunResult(output=0, steps=bound, interrupted=True)
 
 
-def reference_no_interrupt(record, test_window: int = 200):
-    """The two-run form of `quasitrivial.verify_no_interrupt`: per x, a free
-    run under `quasitrivial._MEASURE_FUEL` steps and a clocked run, which
-    must agree in output and steps with neither stopped."""
+def reference_no_interrupt(record, test_window: int):
+    """The windowed two-run form that `quasitrivial.verify_no_interrupt`
+    certifies for every x: per x <= max(k, test_window), a free run under
+    `quasitrivial._MEASURE_FUEL` steps and a clocked run, which must agree
+    in output and steps with neither stopped."""
     table = decode_machine(record.m)
     clock = ClockSpec(2, record.b_m)
-    upper = max(record.k, test_window)
-    for x in range(upper + 1):
+    for x in range(max(record.k, test_window) + 1):
         free = reference_run(table, x, quasitrivial._MEASURE_FUEL)
         clocked = reference_run_clocked(table, clock, x)
         if (clocked.interrupted or not free.halted
                 or clocked.output != free.output or clocked.steps != free.steps):
-            return quasitrivial.NoInterruptReport(ok=False, failed_at=x, checked=x + 1)
-    return quasitrivial.NoInterruptReport(ok=True, failed_at=None, checked=upper + 1)
+            return quasitrivial.NoInterruptReport(ok=False, failed_at=x)
+    return quasitrivial.NoInterruptReport(ok=True, failed_at=None)
 
 
 def reference_measure_b(q) -> int:
     """The per-input loop that `quasitrivial.measure_b` replaces: one free
-    run of up to `quasitrivial._MEASURE_FUEL` steps per x <= k."""
+    run of up to `quasitrivial._MEASURE_FUEL` steps per x <= k, on the
+    literal simulator."""
     worst = 0
     for x in range(q.k + 1):
-        result = run(q.table, x, quasitrivial._MEASURE_FUEL)
+        result = reference_run(q.table, x, quasitrivial._MEASURE_FUEL)
         if not result.halted:
             raise RuntimeError(f"compiled machine failed to halt on {x}")
         worst = max(worst, result.steps)

@@ -116,6 +116,7 @@ def test_trace_goes_to_stderr(capsys, tmp_path):
     ["bgs", "counterexample", "--index"],
     ["run", "--machine", "m.tm", "--input", "0", "--clock", "0,1"],
     ["run", "--machine", "m.tm", "--input", "0", "--clock", "abc"],
+    ["qt", "verify", "--cutoffs", "0..2", "--window", "200"],
 ])
 def test_usage_error_exits_two(argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Cutoff-machine compiler, embedding, and the lemma's checkable content."""
 
+import itertools
 import random
 
 import pytest
@@ -121,11 +122,29 @@ def test_distinct_cutoffs_give_distinct_indices(records):
 
 # --- no interruption -----------------------------------------------------------
 
+def reference_window(record: qt.EmbeddingRecord) -> int:
+    """W = 2^(|k| + 3) - 2: every x of length at most |k| + 2."""
+    return (8 << len(codec.to_dyadic(record.k))) - 2
+
+
+def certify(record: qt.EmbeddingRecord) -> qt.NoInterruptReport:
+    """The certificate, checked against the windowed reference over W: it
+    passes only where the reference passes, fails no later than the
+    reference fails, and on the walked inputs x <= 2^(|k| + 1) - 2 fails
+    exactly where the reference does."""
+    report = qt.verify_no_interrupt(record)
+    reference = reference_no_interrupt(record, reference_window(record))
+    walked = (2 << len(codec.to_dyadic(record.k))) - 2
+    assert reference.ok or not report.ok and report.failed_at <= reference.failed_at
+    failures = [x for x in (report.failed_at, reference.failed_at) if x is not None]
+    if failures and min(failures) <= walked:
+        assert report == reference
+    return report
+
+
 def test_clock_never_interrupts_below_and_above_cutoff(records):
     for k in (0, 5, 10):
-        report = qt.verify_no_interrupt(records[k], 200)
-        assert report.ok and report.failed_at is None
-        assert report.checked == max(k, 200) + 1
+        assert certify(records[k]) == qt.NoInterruptReport(ok=True, failed_at=None)
 
 
 def test_clocked_runs_agree_bit_for_bit(machines, records):
@@ -144,13 +163,13 @@ def test_unit_offset_still_never_interrupts(records):
     # degenerate offset cannot bite; the honest negative control follows
     crippled = qt.EmbeddingRecord(m=records[3].m, k=3, b_m=1,
                                   n=codec.triple_encode(records[3].m, 2, 1))
-    assert qt.verify_no_interrupt(crippled, 100).ok
+    assert certify(crippled).ok
 
 
 def test_no_interrupt_detects_a_slow_machine():
     m = encode_machine(LOOPER)
     fake = qt.EmbeddingRecord(m=m, k=0, b_m=1, n=codec.triple_encode(m, 2, 1))
-    report = qt.verify_no_interrupt(fake, 50)
+    report = certify(fake)
     assert not report.ok and report.failed_at == 0
 
 
@@ -162,7 +181,9 @@ def fake_record(table: TransitionTable, b_m: int, k: int = 0) -> qt.EmbeddingRec
 def test_no_interrupt_equals_the_two_run_form_on_compiled_records():
     for k in range(65):
         record = qt.embed(qt.build_qt(k, k_max=64))
-        assert qt.verify_no_interrupt(record) == reference_no_interrupt(record)
+        assert (qt.verify_no_interrupt(record)
+                == reference_no_interrupt(record, reference_window(record))
+                == qt.NoInterruptReport(ok=True, failed_at=None)), k
 
 
 def test_no_interrupt_equals_the_two_run_form_on_fakes(records):
@@ -170,9 +191,8 @@ def test_no_interrupt_equals_the_two_run_form_on_fakes(records):
                                   n=codec.triple_encode(records[3].m, 2, 1))
     looper = fake_record(LOOPER, 1)
     for record in (crippled, looper):
-        for window in (0, 1, 50, 100):
-            assert (qt.verify_no_interrupt(record, window)
-                    == reference_no_interrupt(record, window))
+        assert (qt.verify_no_interrupt(record)
+                == reference_no_interrupt(record, reference_window(record)))
 
 
 def test_no_interrupt_equals_the_two_run_form_on_random_tables():
@@ -180,9 +200,8 @@ def test_no_interrupt_equals_the_two_run_form_on_random_tables():
     verdicts = set()
     for b_m in range(1, 31):
         for _ in range(3):
-            record = fake_record(random_table(rng), b_m, k=rng.randint(0, 40))
-            report = qt.verify_no_interrupt(record, 30)
-            assert report == reference_no_interrupt(record, 30)
+            table = rng.choice((random_table, random_eraser_table))(rng)
+            report = certify(fake_record(table, b_m, k=rng.randint(0, 40)))
             verdicts.add(report.ok)
     assert verdicts == {True, False}
 
@@ -194,13 +213,48 @@ def chain(length: int) -> TransitionTable:
         for q in range(length) for sym in (0, 1, BLANK)})
 
 
-@pytest.mark.parametrize("form", [qt.verify_no_interrupt, reference_no_interrupt],
-                         ids=["one-run", "two-run"])
+@pytest.mark.parametrize("form", [reference_no_interrupt], ids=["two-run"])
 def test_a_run_past_the_measuring_fuel_fails(monkeypatch, form):
     monkeypatch.setattr(qt, "_MEASURE_FUEL", 12)
     # a clock of 1000 steps and more never interrupts a 13-step run
-    assert form(fake_record(chain(12), 1000), 20) == qt.NoInterruptReport(True, None, 21)
-    assert form(fake_record(chain(13), 1000), 20) == qt.NoInterruptReport(False, 0, 1)
+    assert form(fake_record(chain(12), 1000), 20) == qt.NoInterruptReport(True, None)
+    assert form(fake_record(chain(13), 1000), 20) == qt.NoInterruptReport(False, 0)
+
+
+def test_the_certificate_takes_no_fuel(monkeypatch):
+    # x = 0 runs 13 steps on blanks, within its clock of 1001 steps, and
+    # every longer x is read into the eraser 13
+    monkeypatch.setattr(qt, "_MEASURE_FUEL", 12)
+    table = TransitionTable(14, {
+        **{(q, BLANK): Transition(q + 1 if q < 12 else HALT, BLANK, MOVE_R) for q in range(13)},
+        **{(q, s): Transition(13, BLANK, MOVE_R) for q in (0, 13) for s in (0, 1)}})
+    assert qt.verify_no_interrupt(fake_record(table, 1000)) == qt.NoInterruptReport(True, None)
+
+
+def erase_into(q: int) -> Transition:
+    return Transition(q, BLANK, MOVE_R)
+
+
+@pytest.mark.parametrize("k,transitions,failed_at", [
+    # "00" (3) is read into the eraser 2, "01" (4) into state 3, which halts
+    # on blank by a transition
+    (1, {(0, 0): erase_into(1), (0, 1): erase_into(2), (1, 0): erase_into(2),
+         (1, 1): erase_into(3), (2, 0): erase_into(2), (2, 1): erase_into(2),
+         (3, 0): erase_into(3), (3, 1): erase_into(3), (3, BLANK): Transition(HALT, BLANK, MOVE_L)},
+     4),
+    # "1" (2) is read by a transition that writes 1, so no string below it
+    # is read by erasing moves, though state 0 erases "0" into the eraser
+    (1, {(0, 0): erase_into(1), (0, 1): Transition(1, 1, MOVE_R),
+         (1, 0): erase_into(1), (1, 1): erase_into(1)}, 5),
+    # "0" (1) is read into state 1, which halts on blank but moves on 0 to
+    # state 2, which loops on blank: "00" (3) is interrupted
+    (0, {(0, 0): erase_into(1), (0, 1): erase_into(1), (1, 0): erase_into(2),
+         (1, 1): erase_into(1), (2, BLANK): erase_into(2)}, 1),
+], ids=["a-child-misses-the-eraser", "a-node-read-in-part", "a-non-looping-row"])
+def test_the_least_string_without_the_eraser_shape_fails(k, transitions, failed_at):
+    # every run on an x of length at most |k| halts within its clock
+    table = TransitionTable(1 + max(q for q, _ in transitions), transitions)
+    assert certify(fake_record(table, 1, k)) == qt.NoInterruptReport(False, failed_at)
 
 
 # --- the trie walk against the per-input loops -------------------------------
@@ -222,12 +276,12 @@ def test_measure_b_equals_the_per_input_loop_on_compiled_tables():
         assert qt.measure_b(q) == reference_measure_b(q), k
 
 
-def test_no_interrupt_equals_the_two_run_form_on_every_window():
+def test_every_compiled_table_certifies():
     for k in WALK_KS:
         record = qt.embed(qt.build_qt(k, k_max=400))
-        for window in (0, 1, 50, 200, 450):
-            assert (qt.verify_no_interrupt(record, window)
-                    == reference_no_interrupt(record, window)), (k, window)
+        assert qt.verify_no_interrupt(record) == qt.NoInterruptReport(ok=True, failed_at=None), k
+    for k in (127, 128, 400):  # the first cutoffs of |k| = 7 and 8, and the largest
+        assert certify(qt.embed(qt.build_qt(k, k_max=400))).ok, k
 
 
 def test_the_walk_resumes_no_run_with_unread_input_on_compiled_tables(monkeypatch):
@@ -245,20 +299,27 @@ def test_the_walk_resumes_no_run_with_unread_input_on_compiled_tables(monkeypatc
     for k in (0, 1, 11, 64, 300):
         q = qt.build_qt(k, k_max=300)
         assert qt.measure_b(q) >= 1
-        assert qt.verify_no_interrupt(qt.embed(q), 450).ok
+        assert qt.verify_no_interrupt(qt.embed(q)).ok
     assert resumes
 
 
 def mutations(table: TransitionTable):
-    """Every table that differs from `table` in one field of one transition:
-    its next state, its write or its move."""
+    """Every table that differs from `table` in one field of one transition
+    (its next state, its write or its move), or in one transition on blank
+    where it had none, such as the eraser's."""
+    states = (HALT, *range(table.state_count))
     for key, t in table.transitions.items():
-        changed = [t._replace(next_state=q) for q in (HALT, *range(table.state_count))]
+        changed = [t._replace(next_state=q) for q in states]
         changed += [t._replace(write=w) for w in (0, 1, BLANK)]
         changed.append(t._replace(move=MOVE_L if t.move == MOVE_R else MOVE_R))
         for u in changed:
             if u != t:
                 yield TransitionTable(table.state_count, {**table.transitions, key: u})
+    for q in range(table.state_count):
+        if (q, BLANK) not in table.transitions:
+            for u in itertools.product(states, (0, 1, BLANK), (MOVE_L, MOVE_R)):
+                yield TransitionTable(table.state_count,
+                                      {**table.transitions, (q, BLANK): Transition(*u)})
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -272,9 +333,7 @@ def test_the_walk_equals_the_per_input_loops_on_every_mutation(k):
         for b in (b_m, 1):
             record = qt.EmbeddingRecord(m=mutant.m, k=k, b_m=b,
                                         n=codec.triple_encode(mutant.m, 2, b))
-            report = qt.verify_no_interrupt(record, 50)
-            assert report == reference_no_interrupt(record, 50)
-            verdicts.add(report.ok)
+            verdicts.add(certify(record).ok)
     assert verdicts == {True, False}
 
 
@@ -306,10 +365,6 @@ def test_the_walk_equals_the_per_input_loops_on_random_tables(monkeypatch, fuel)
         k = rng.randint(0, 40)
         q = qt.QuasiTrivialMachine(table=table, m=encode_machine(table), k=k, witnesses=())
         assert outcome(qt.measure_b, q) == outcome(reference_measure_b, q)
-        record = fake_record(table, rng.randint(1, 30), k)
-        for window in (0, 45):
-            assert (qt.verify_no_interrupt(record, window)
-                    == reference_no_interrupt(record, window))
 
 
 def test_build_qt_numbers_its_trie_by_arithmetic():
@@ -461,7 +516,7 @@ def test_cutoff_32_writes_both_witness_shapes_and_passes():
     assert result.found
     assert result.z == z_pred == 2560  # pair(67, 4): the least satisfiable code beyond 32
     assert pair(*codec.unpair(result.z)) == result.z and codec.unpair(result.z) == (67, 4)
-    assert qt.verify_no_interrupt(record, 300).ok
+    assert qt.verify_no_interrupt(record).ok
     # while it plays the decider's role the scan finds nothing: a budget
     # ending exactly at the predicted witness exhausts
     index = bgs.BgsIndex.from_natural(record.n)
@@ -472,7 +527,7 @@ def test_cutoff_32_writes_both_witness_shapes_and_passes():
 # --- composite check --------------------------------------------------------------
 
 def test_lemma_check_all_green():
-    rows = qt.lemma_check(range(4), window=60)
+    rows = qt.lemma_check(range(4))
     assert all(row.passed and row.no_interrupt and row.restriction_equal
                for row in rows)
     assert [row.k for row in rows] == [0, 1, 2, 3]
@@ -507,6 +562,25 @@ def test_a_slow_embedded_machine_fails_only_the_no_interrupt_check(monkeypatch):
     monkeypatch.setattr(qt, "build_qt", slow)
     (row,) = qt.lemma_check([5])
     assert failing_checks(row) == ["no_interrupt"] and not row.passed
+
+
+@pytest.mark.parametrize("k", [127, 200])
+def test_an_eraser_looping_on_blank_fails_only_the_no_interrupt_check(monkeypatch, k):
+    # the eraser's first input is 2^(|k| + 1) - 1 = 255, beyond the cutoff
+    # and beyond the old default window of 200; b_m is measured on the
+    # compiled table, and no search runs an input that long
+    build_qt = qt.build_qt
+    eraser = (2 << len(codec.to_dyadic(k))) - 1
+
+    def looping(k, k_max=qt.DEFAULT_K_MAX):
+        q = build_qt(k, k_max)
+        table = TransitionTable(q.table.state_count, {
+            **q.table.transitions, (eraser, BLANK): Transition(eraser, BLANK, MOVE_R)})
+        return q._replace(m=encode_machine(table))
+    monkeypatch.setattr(qt, "build_qt", looping)
+    (row,) = qt.lemma_check([k], k_max=k)
+    assert failing_checks(row) == ["no_interrupt"] and not row.passed
+    assert qt.verify_no_interrupt(qt.embed(qt.build_qt(k, k))).failed_at == eraser == 255
 
 
 def test_a_compiled_table_unlike_its_goedel_number_fails_only_the_restriction(monkeypatch):

@@ -28,8 +28,7 @@ RECORDS = [
      f"QuasiTrivialMachine(table=TransitionTable(state_count=1, transitions={{}}), m={M0},"
      " k=0, witnesses=(0,))"),
     (EmbeddingRecord(m=M0, k=0, b_m=2, n=N0), f"EmbeddingRecord(m={M0}, k=0, b_m=2, n={N0})"),
-    (NoInterruptReport(ok=True, failed_at=None, checked=4),
-     "NoInterruptReport(ok=True, failed_at=None, checked=4)"),
+    (NoInterruptReport(ok=True, failed_at=None), "NoInterruptReport(ok=True, failed_at=None)"),
     (LemmaCheckRow(0, M0, 2, N0, "found", 93, 93, True, True, True),
      f"LemmaCheckRow(k=0, m={M0}, b_m=2, n={N0}, status='found', z=93, z_pred=93,"
      " no_interrupt=True, restriction_equal=True, passed=True)"),
