@@ -1,0 +1,154 @@
+"""Exact arithmetic on naturals of tens of thousands of bits and more.
+
+CPython 3.11 multiplies large ints by Karatsuba's method, but it divides,
+takes integer square roots and parses base-3 digits in time quadratic in
+their size.  This module builds those three on its multiplication:
+
+* `divmod`: Burnikel and Ziegler's recursive division (MPI-I-98-1-022,
+  1998), two half-size divisions and two half-size products per level;
+* `isqrt_rem`: Zimmermann's Karatsuba square root with remainder
+  (SqrtRem; Brent and Zimmermann, *Modern Computer Arithmetic*, §1.5),
+  one recursive division and one squaring per level;
+* `parse_base3`: a base-3 digit string read by halves (§1.7), returning
+  3^len with the value.
+
+Every result is exact, and each function calls the builtin below a
+crossover measured where it is defined.  The package imports this module
+only for a number past its caller's crossover (`codec._BIG_INDEX`,
+`machine._BIG_TRITS`), so small numbers never pay for it.
+"""
+
+from __future__ import annotations
+
+import builtins
+from math import isqrt
+
+# The crossovers below were measured with Python 3.11.7 on a 2-vCPU x86-64
+# host, as the least of 60 calls of each side, alternated, in one process.
+
+# A division whose quotient or divisor has at most this many bits is left
+# to the builtin.  divmod of a 2n-bit number by an n-bit one took, builtin
+# / recursive: 20 / 21 us at n = 3000, 34 / 33 us at 4000, 51 / 45 us at
+# 5000, 127 / 96 us at 8000 and 4.2 / 1.6 ms at 48 000 bits; a limit of
+# 2000 made n = 3000 slower (25 us), and one of 4000 or 6000 made n = 8000
+# slower (104 us).
+DIV_LIMIT = 3000
+
+# A square root of at most this many bits is left to math.isqrt.  The root
+# and its remainder took, builtin / recursive: 5 / 5 us at 2000 bits,
+# 7 / 6 us at 2500, 9 / 8 us at 3000, 47 / 25 us at 8000 and 3.9 / 1.1 ms
+# at 95 000 bits; limits of 1000 to 3000 bits differed by at most 2 % from
+# 8000 bits on.
+SQRT_LIMIT = 2000
+
+# A digit string of at most this many digits is parsed by int(s, 3).  At
+# 30 000 digits, where int(s, 3) with 3 ** 30 000 took 2.10 ms, the parse
+# took 1.56, 1.52, 1.53 and 1.46 ms with a limit of 500, 1000, 2000 and
+# 4000 digits; below 4300 digits, CPython's default limit on int(s, base)
+# for a base that is not a power of two, a parse needs no lift of it.
+PARSE_LIMIT = 2000
+
+_divmod = builtins.divmod
+
+
+def divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) exactly; recursive for a natural a and b > 0 whose
+    quotient and divisor both have more than DIV_LIMIT bits.
+
+    The dividend is read in digits of n = |b| bits from the top, and each
+    digit, after the remainder so far, is one division of 2n bits by n."""
+    n = b.bit_length()
+    if a < 0 or b < 0 or min(n, a.bit_length() - n) <= DIV_LIMIT:
+        return _divmod(a, b)
+    mask = (1 << n) - 1
+    shift = (a.bit_length() - 1) // n * n  # the lowest bit of the top digit
+    q = r = 0
+    while shift >= 0:
+        digit, r = _div2n1n((r << n) | ((a >> shift) & mask), b, n)
+        q = (q << n) | digit
+        shift -= n
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and a < 2^n b: the top three
+    halves of a by b, then the remainder and the last half by b."""
+    if a.bit_length() - n <= DIV_LIMIT:
+        return _divmod(a, b)
+    pad = n & 1  # make n even; a and b doubled leave the quotient as it is
+    if pad:
+        a <<= 1
+        b <<= 1
+        n += 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half) & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return (q1 << half) | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """divmod(a12 2^n + a3, b) for b = b1 2^n + b2 of exactly 2n bits, a3 <
+    2^n and a quotient below 2^n: estimate it from a12 and b1, then correct
+    the estimate, which is at most 2 too large."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = ((r << n) | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
+def isqrt_rem(n: int) -> tuple[int, int]:
+    """(s, r) with s = isqrt(n) and r = n - s^2, for a natural n.
+
+    Split n, shifted left by 0 or 2 bits to 4k or 4k - 1 bits, into four
+    k-bit digits a3 >= 2^(k-2), a2, a1, a0.  The root s' of a3 2^k + a2,
+    with remainder r', gives s = s' 2^k + q, q the quotient of r' 2^k + a1
+    by 2s'; s is the root or one more, and the remainder says which."""
+    length = n.bit_length()
+    if length <= SQRT_LIMIT or n < 0:
+        s = isqrt(n)  # raises on a negative n
+        return s, n - s * s
+    shift = -length & 2  # an even shift, to 4k or 4k - 1 bits
+    n <<= shift
+    k = (length + shift + 1) >> 2
+    mask = (1 << k) - 1
+    s, r = isqrt_rem(n >> 2 * k)
+    q, u = divmod((r << k) | ((n >> k) & mask), s << 1)
+    s = (s << k) + q
+    r = ((u << k) | (n & mask)) - q * q
+    if r < 0:
+        r += 2 * s - 1
+        s -= 1
+    if shift:  # 4n = (2s + low)^2 + r, so n = s^2 + (r + low (4s + 1)) / 4
+        low = s & 1
+        s >>= 1
+        r = (r + low * (4 * s + 1)) >> 2
+    return s, r
+
+
+def parse_base3(digits: str) -> tuple[int, int]:
+    """(int(digits, 3), 3^len(digits)) for a string of digits 0, 1 and 2,
+    the empty string included: the high and the low half parsed alone,
+    joined by one multiplication by the low half's power."""
+    powers: dict[int, int] = {}  # length -> 3^length; each level has at most two lengths
+
+    def parse(start: int, stop: int) -> int:
+        size = stop - start
+        if size <= PARSE_LIMIT:
+            if size not in powers:
+                powers[size] = 3 ** size
+            return int(digits[start:stop] or "0", 3)
+        middle = stop - (size >> 1)
+        high, low = parse(start, middle), parse(middle, stop)
+        if size not in powers:
+            powers[size] = powers[middle - start] * powers[stop - middle]
+        return high * powers[stop - middle] + low
+
+    value = parse(0, len(digits))
+    return value, powers[len(digits)]

@@ -263,14 +263,18 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # The bijective string of n has the length L with
 # (3^L - 1)/2 <= n < (3^(L+1) - 1)/2, and is n - (3^L - 1)/2 written as
 # exactly L plain base-3 digits (encode_machine is the inverse).  Those
-# digits come level by level: pad them to 2^j leaves of w digits, with j
-# the least such that 6 * 2^j >= L and w = ceil(L / 2^j) (4, 5 or 6), and
-# split every part of a level with one divmod by 3^(w * 2^i), i = j-1..0,
-# in one list comprehension.  The 2^j leaves are read from a table and the
-# leading w * 2^j - L padding digits cut off, so the per-digit work is
-# done by C big-integer division instead of interpreted calls.  Division
-# is still schoolbook in CPython, so the conversion stays quadratic in
-# limb operations.
+# digits are ceil(L / 6) leaves of 6 digits, the first of 1 to 6, each
+# read from a table.  They are split off level by level: with 2^(j-1) <
+# leaves <= 2^j, level i = j-1..0 divides every part below the top one by
+# 3^(6 * 2^i), and the top one too while it holds more than 2^i leaves.
+# So only the top split is uneven, and no digit is padded.  Each level is
+# one list comprehension of divmod over its parts, so the per-digit work
+# is done by C big-integer division instead of interpreted calls.  CPython
+# divides by the schoolbook method, quadratic in the size, so above
+# _BIG_TRITS digits a level whose divisor has more than bigint.DIV_LIMIT
+# bits divides by recursive division, in a few multiplications' time, and
+# encode_machine parses its digits by halves, which also gives 3^L for the
+# repunit.
 #
 # A parsed field holds only the digits 0 and 1, so it is read as a dyadic
 # string without from_dyadic's check, once per distinct field, and one
@@ -294,6 +298,17 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # millions of bits.
 
 _LEAF_WIDTH = 6
+
+# Above this many base-3 digits, _to_trits and encode_machine convert
+# through `bigint`.  Per call, builtin / bigint, as the least of 60 calls of
+# each, alternated, on Python 3.11.7 and a 2-vCPU x86-64 host: _to_trits
+# took 488 / 489 us at 8000 digits, 812 / 764 us at 12 000, 1.34 / 1.20 ms
+# at 16 000 and 4.0 / 3.1 ms at 30 046 (the cutoff-400 machine); the parse
+# with its power of 3 took 163 / 160 us at 8000, 352 / 320 us at 12 000 and
+# 2.10 / 1.53 ms at 30 000.  Every machine that the command line compiles
+# (cutoffs up to 64, at most 5647 digits) stays below.
+_BIG_TRITS = 12_000
+
 # _LEAVES[w][r] is r (0 <= r < 3^w) as exactly w base-3 digits
 _LEAVES = tuple(tuple("".join(t) for t in product("012", repeat=w))
                 for w in range(_LEAF_WIDTH + 1))
@@ -313,18 +328,27 @@ def _to_trits(n: int) -> str:
     r = n - (power - 1) // 2  # 0 <= r < 3^length
     if length <= _LEAF_WIDTH:
         return _LEAVES[length][r]
-    levels = 1  # the least j with 6 * 2^j >= length: 2^j leaves
-    while _LEAF_WIDTH << levels < length:
-        levels += 1
-    width = -(-length // (1 << levels))  # the leaf width, 4, 5 or 6
-    powers = [3 ** width]  # powers[i] = 3^(width * 2^i)
+    leaves = -(-length // _LEAF_WIDTH)  # all of width 6 but the first
+    levels = (leaves - 1).bit_length()  # 2^(levels-1) < leaves <= 2^levels
+    powers = [3 ** _LEAF_WIDTH]  # powers[i] = 3^(6 * 2^i)
     for _ in range(levels - 1):
         powers.append(powers[-1] * powers[-1])
-    parts = [r]  # r padded to width * 2^levels digits, split level by level
-    for divisor in reversed(powers):
-        parts = [part for whole in parts for part in divmod(whole, divisor)]
-    digits = "".join(map(_LEAVES[width].__getitem__, parts))
-    return digits[(width << levels) - length:]
+    big = length > _BIG_TRITS
+    if big:
+        from . import bigint
+    # head holds the first `top` leaves; at level i each part of rest holds 2^(i+1)
+    head, rest, top = r, [], leaves
+    for i in reversed(range(levels)):
+        divide = divmod
+        if big and powers[i].bit_length() > bigint.DIV_LIMIT:
+            divide = bigint.divmod
+        rest = [part for whole in rest for part in divide(whole, powers[i])]
+        if top > 1 << i:  # the uneven split: top - 2^i leaves and 2^i
+            head, low = divide(head, powers[i])
+            rest.insert(0, low)
+            top -= 1 << i
+    first, leaf = _LEAVES[length - _LEAF_WIDTH * (leaves - 1)], _LEAVES[_LEAF_WIDTH]
+    return first[head] + "".join([leaf[part] for part in rest])
 
 
 def encode_machine(table: TransitionTable) -> int:
@@ -335,6 +359,10 @@ def encode_machine(table: TransitionTable) -> int:
     words = {v: to_dyadic(v) + "2" for v in set(flat)}
     digits = "".join(map(words.__getitem__, flat))
     # bijective base 3 with digits 1, 2, 3 is plain base 3 plus a repunit
+    if len(digits) > _BIG_TRITS:
+        from .bigint import parse_base3
+        value, power = parse_base3(digits)
+        return value + (power - 1) // 2
     return int(digits or "0", 3) + (3 ** len(digits) - 1) // 2
 
 

@@ -246,15 +246,22 @@ def verify_no_interrupt(record: EmbeddingRecord) -> NoInterruptReport:
     depth = len(to_dyadic(record.k))
     leaves = (1 << depth) - 1  # the first x of length d
     unvouched = None
+    erasing: dict = {}  # cell -> _enters_eraser(cells, cell), decided once per distinct cell
     walk = _run_steps(table, 2 * leaves, lambda length: length ** clock.a + clock.b)
     for x, (steps, row, read) in enumerate(walk):
         if steps is None:
             return NoInterruptReport(ok=False, failed_at=x)
         if x >= leaves and unvouched is None:
-            if read < depth or not _enters_eraser(cells, cells[row]):
+            if read < depth:
                 unvouched = 2 * x + 1
-            elif not _enters_eraser(cells, cells[row + 1]):
-                unvouched = 2 * x + 2
+                continue
+            for symbol in (0, 1):
+                cell = cells[row + symbol]
+                if cell not in erasing:
+                    erasing[cell] = _enters_eraser(cells, cell)
+                if not erasing[cell]:
+                    unvouched = 2 * x + 1 + symbol
+                    break
     return NoInterruptReport(ok=unvouched is None, failed_at=unvouched)
 
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+from math import isqrt
 
 from bgslab import quasitrivial, sat
 from bgslab.bgs import BgsIndex, CounterexampleResult, CounterexampleStatus, ResultCache
@@ -243,11 +244,19 @@ def reference_decode_machine(m: int) -> TransitionTable:
     return TransitionTable(state_count=max_state + 1, transitions=transitions)
 
 
+def reference_unpair(z: int) -> tuple[int, int]:
+    """The literal inverse of Cantor pairing that `codec.unpair` replaces
+    for large z: the diagonal w from math.isqrt, then z - w(w+1)/2."""
+    w = (isqrt(8 * z + 1) - 1) // 2
+    y = z - w * (w + 1) // 2
+    return w - y, y
+
+
 def reference_triple_decode(n: int) -> tuple[int, int, int]:
     """The literal inverse of triple_encode that `codec.triple_decode`
     replaces: unpair n as (m, ab), then unpair ab as (a, b)."""
-    m, ab = unpair(n)
-    a, b = unpair(ab)
+    m, ab = reference_unpair(n)
+    a, b = reference_unpair(ab)
     return m, a, b
 
 

@@ -1,7 +1,8 @@
 """A command loads only what it runs: `import bgslab` loads no submodule,
 the package's names resolve lazily to the same objects as before, a
 cache probe loads neither the cutoff-machine module nor `logging` or
-`csv`, and no command loads `dataclasses` or the modules it imports."""
+`csv`, no command loads `dataclasses` or the modules it imports, and
+only a number past a crossover loads the big-integer layer."""
 
 import os
 import subprocess
@@ -119,6 +120,24 @@ def test_no_command_loads_dataclasses(tmp_path, commands):
         loaded = loaded_by(cli_run(argv), tmp_path)
         assert "bgslab.cli" in loaded
         assert [m for m in DATACLASSES if m in loaded] == []
+
+
+@pytest.mark.parametrize("commands", [
+    [["pair", "7", "11"]],
+    [["bgs", "counterexample", "--index", "17", "--budget", str(budget), "--cache", "c.json"]
+     for budget in (50, 200, 200)],
+    [["bgs", "scan", "--from", "0", "--to", "300", "--budget", "2000"]],
+], ids=["pair", "cache probes", "bgs scan"])
+def test_small_numbers_never_load_the_big_integer_layer(tmp_path, commands):
+    for argv in commands:
+        loaded = loaded_by(cli_run(argv), tmp_path)
+        assert "bgslab.cli" in loaded and "bgslab.bigint" not in loaded
+
+
+def test_an_index_past_the_crossover_loads_the_big_integer_layer(tmp_path):
+    n = bgslab.triple_encode(3 ** 20_000, 2, 5)
+    loaded = loaded_by(cli_run(["triple", "--decode", str(n)]), tmp_path)
+    assert "bgslab.bigint" in loaded
 
 
 def test_an_unwritable_cache_exits_two_without_loading_cutoff_machines(tmp_path):
