@@ -1,27 +1,26 @@
 """Exact arithmetic on naturals of tens of thousands of bits and more.
 
-CPython 3.11 multiplies large ints by Karatsuba's method, but it divides,
-takes integer square roots and parses base-3 digits in time quadratic in
-their size.  This module builds those three on its multiplication:
+CPython 3.11 multiplies large ints by Karatsuba's method, but it divides
+and parses base-3 digits in time quadratic in their size.  This module
+builds both on its multiplication:
 
 * `divmod`: Burnikel and Ziegler's recursive division (MPI-I-98-1-022,
   1998), two half-size divisions and two half-size products per level;
-* `isqrt_rem`: Zimmermann's Karatsuba square root with remainder
-  (SqrtRem; Brent and Zimmermann, *Modern Computer Arithmetic*, §1.5),
-  one recursive division and one squaring per level;
-* `parse_base3`: a base-3 digit string read by halves (§1.7), returning
-  3^len with the value.
+* `parse_base3`: a base-3 digit string read by halves (Brent and
+  Zimmermann, *Modern Computer Arithmetic*, §1.7), returning 3^len with
+  the value.
 
 Every result is exact, and each function calls the builtin below a
-crossover measured where it is defined.  The package imports this module
-only for a number past its caller's crossover (`codec._BIG_INDEX`,
-`machine._BIG_TRITS`), so small numbers never pay for it.
+crossover measured where it is defined.  Only the Goedel numbering
+imports this module: `machine._to_trits` for a machine of more than
+`machine._BIG_TRITS` digits, and `encode_machine` for a digit string
+that `int(s, 3)` would refuse under CPython's default limit, so small
+numbers never pay for it.
 """
 
 from __future__ import annotations
 
 import builtins
-from math import isqrt
 
 # The crossovers below were measured with Python 3.11.7 on a 2-vCPU x86-64
 # host, as the least of 60 calls of each side, alternated, in one process.
@@ -33,13 +32,6 @@ from math import isqrt
 # 2000 made n = 3000 slower (25 us), and one of 4000 or 6000 made n = 8000
 # slower (104 us).
 DIV_LIMIT = 3000
-
-# A square root of at most this many bits is left to math.isqrt.  The root
-# and its remainder took, builtin / recursive: 5 / 5 us at 2000 bits,
-# 7 / 6 us at 2500, 9 / 8 us at 3000, 47 / 25 us at 8000 and 3.9 / 1.1 ms
-# at 95 000 bits; limits of 1000 to 3000 bits differed by at most 2 % from
-# 8000 bits on.
-SQRT_LIMIT = 2000
 
 # A digit string of at most this many digits is parsed by int(s, 3).  At
 # 30 000 digits, where int(s, 3) with 3 ** 30 000 took 2.10 ms, the parse
@@ -101,35 +93,6 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
         q -= 1
         r += b
     return q, r
-
-
-def isqrt_rem(n: int) -> tuple[int, int]:
-    """(s, r) with s = isqrt(n) and r = n - s^2, for a natural n.
-
-    Split n, shifted left by 0 or 2 bits to 4k or 4k - 1 bits, into four
-    k-bit digits a3 >= 2^(k-2), a2, a1, a0.  The root s' of a3 2^k + a2,
-    with remainder r', gives s = s' 2^k + q, q the quotient of r' 2^k + a1
-    by 2s'; s is the root or one more, and the remainder says which."""
-    length = n.bit_length()
-    if length <= SQRT_LIMIT or n < 0:
-        s = isqrt(n)  # raises on a negative n
-        return s, n - s * s
-    shift = -length & 2  # an even shift, to 4k or 4k - 1 bits
-    n <<= shift
-    k = (length + shift + 1) >> 2
-    mask = (1 << k) - 1
-    s, r = isqrt_rem(n >> 2 * k)
-    q, u = divmod((r << k) | ((n >> k) & mask), s << 1)
-    s = (s << k) + q
-    r = ((u << k) | (n & mask)) - q * q
-    if r < 0:
-        r += 2 * s - 1
-        s -= 1
-    if shift:  # 4n = (2s + low)^2 + r, so n = s^2 + (r + low (4s + 1)) / 4
-        low = s & 1
-        s >>= 1
-        r = (r + low * (4 * s + 1)) >> 2
-    return s, r
 
 
 def parse_base3(digits: str) -> tuple[int, int]:

@@ -110,6 +110,8 @@ def parse_dimacs(text: str) -> list[list[int]]:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise UsageError(f"bad DIMACS header: {line!r}") from None
+            if min(header) < 0:
+                raise UsageError(f"bad DIMACS header: {line!r}")
             continue
         if header is None:
             raise UsageError("DIMACS clause before 'p cnf' header")

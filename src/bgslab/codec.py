@@ -45,18 +45,6 @@ def from_dyadic(s: str) -> int:
     return int("1" + s, 2) - 1
 
 
-# From this index on, unpair and triple_decode take the diagonal from
-# `bigint.isqrt_rem` (`_diagonal`).  Per call, the math.isqrt formula /
-# _diagonal, as the least of 60 calls of each, alternated, on Python 3.11.7
-# and a 2-vCPU x86-64 host: 18 / 13 us at 4000 bits, 108 / 50 us at 12 000,
-# 219 / 96 us at 18 000, 263 / 109 us at 20 000 and 4.1 / 1.1 ms at 95 000.
-# The first call in a process also imports bigint, about 1.2 ms where no
-# bytecode is cached, so the crossover sits where one call saves about a
-# tenth of that, above every index of a machine that the command line
-# compiles (cutoffs up to 64, below 2^18 000).
-_BIG_INDEX = 1 << 20_000
-
-
 def pair(x: int, y: int) -> int:
     """Cantor diagonal pairing; a bijection N x N -> N with pair(0,0) = 0."""
     if x < 0 or y < 0:
@@ -68,27 +56,12 @@ def pair(x: int, y: int) -> int:
 def unpair(z: int) -> tuple[int, int]:
     """Inverse of pair; total on the naturals.
 
-    z lies on diagonal w = (isqrt(8z + 1) - 1) // 2 at y = z - w(w+1)/2;
-    from _BIG_INDEX on, both come from one square root with remainder."""
-    if not 0 <= z < _BIG_INDEX:
-        if z < 0:
-            raise ValueError(f"expected a natural number, got {z}")
-        w, y = _diagonal(z)
-        return w - y, y
+    z lies on diagonal w = (isqrt(8z + 1) - 1) // 2 at y = z - w(w+1)/2."""
+    if z < 0:
+        raise ValueError(f"expected a natural number, got {z}")
     w = (isqrt(8 * z + 1) - 1) // 2
     y = z - w * (w + 1) // 2
     return w - y, y
-
-
-def _diagonal(z: int) -> tuple[int, int]:
-    """(w, z - w(w+1)/2) for the diagonal w of z, from 8z + 1 = s^2 + r:
-    an odd root s is 2w + 1, with 8(z - w(w+1)/2) = r, and an even one is
-    2w + 2, with 8(z - w(w+1)/2) = r + 2s - 1.  No product of w is formed."""
-    from .bigint import isqrt_rem
-    s, r = isqrt_rem(8 * z + 1)
-    if s & 1:
-        return s >> 1, r >> 3
-    return (s >> 1) - 1, (r + 2 * s - 1) >> 3
 
 
 def triple_encode(m: int, a: int, b: int) -> int:
@@ -100,17 +73,11 @@ def triple_decode(n: int) -> tuple[int, int, int]:
     """Inverse of triple_encode: (m, a, b) with n = pair(m, pair(a, b)).
 
     Both unpairings in one body, so n is checked once; ab = n - w(w+1)/2
-    is a natural for every natural n, so it needs no check of its own.
-    From _BIG_INDEX on, w and ab come from one square root with remainder
-    (`_diagonal`), with no product of w; ab is unpaired by math.isqrt, as
-    it is small in every cutoff machine's index."""
-    if not 0 <= n < _BIG_INDEX:
-        if n < 0:
-            raise ValueError(f"expected a natural number, got {n}")
-        w, ab = _diagonal(n)
-    else:
-        w = (isqrt(8 * n + 1) - 1) // 2
-        ab = n - w * (w + 1) // 2
+    is a natural for every natural n, so it needs no check of its own."""
+    if n < 0:
+        raise ValueError(f"expected a natural number, got {n}")
+    w = (isqrt(8 * n + 1) - 1) // 2
+    ab = n - w * (w + 1) // 2
     v = (isqrt(8 * ab + 1) - 1) // 2
     b = ab - v * (v + 1) // 2
     return w - ab, v - b, b

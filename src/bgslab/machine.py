@@ -272,9 +272,9 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # is done by C big-integer division instead of interpreted calls.  CPython
 # divides by the schoolbook method, quadratic in the size, so above
 # _BIG_TRITS digits a level whose divisor has more than bigint.DIV_LIMIT
-# bits divides by recursive division, in a few multiplications' time, and
-# encode_machine parses its digits by halves, which also gives 3^L for the
-# repunit.
+# bits divides by recursive division, in a few multiplications' time.
+# encode_machine parses more than _INT_STR_DIGITS digits by halves, which
+# also gives 3^L for the repunit.
 #
 # A parsed field holds only the digits 0 and 1, so it is read as a dyadic
 # string without from_dyadic's check, once per distinct field, and one
@@ -299,15 +299,25 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 
 _LEAF_WIDTH = 6
 
-# Above this many base-3 digits, _to_trits and encode_machine convert
-# through `bigint`.  Per call, builtin / bigint, as the least of 60 calls of
-# each, alternated, on Python 3.11.7 and a 2-vCPU x86-64 host: _to_trits
-# took 488 / 489 us at 8000 digits, 812 / 764 us at 12 000, 1.34 / 1.20 ms
-# at 16 000 and 4.0 / 3.1 ms at 30 046 (the cutoff-400 machine); the parse
-# with its power of 3 took 163 / 160 us at 8000, 352 / 320 us at 12 000 and
-# 2.10 / 1.53 ms at 30 000.  Every machine that the command line compiles
-# (cutoffs up to 64, at most 5647 digits) stays below.
+# Above this many base-3 digits, _to_trits divides through `bigint`.  Per
+# call, builtin / bigint, as the least of 60 calls of each, alternated, on
+# Python 3.11.7 and a 2-vCPU x86-64 host: 488 / 489 us at 8000 digits,
+# 812 / 764 us at 12 000, 1.34 / 1.20 ms at 16 000 and 4.0 / 3.1 ms at
+# 30 046 (the cutoff-400 machine); a gate at _INT_STR_DIGITS gained
+# nothing (within 1 % at 5634 to 6578 digits, cutoffs 63 to 126).  Every
+# machine that the command line compiles (cutoffs up to 64, at most 5647
+# digits) stays below.
 _BIG_TRITS = 12_000
+
+# Above this many digits, encode_machine parses by halves through `bigint`.
+# This is CPython's default limit on int(s, 3), so no Goedel number needs
+# the lift of that limit that `import bgslab` makes; cutoffs 63 and 64
+# (5634 and 5647 digits) are the compiled machines that parse by halves.
+# The parse with its power of 3, builtin / bigint, took 163 / 160 us at
+# 8000 digits, 352 / 320 us at 12 000 and 2.10 / 1.53 ms at 30 000, as
+# above; encode_machine at cutoffs 63 to 126 (5634 to 6578 digits) took 1
+# to 3 % longer by halves than with int(s, 3).
+_INT_STR_DIGITS = 4300
 
 # _LEAVES[w][r] is r (0 <= r < 3^w) as exactly w base-3 digits
 _LEAVES = tuple(tuple("".join(t) for t in product("012", repeat=w))
@@ -359,7 +369,7 @@ def encode_machine(table: TransitionTable) -> int:
     words = {v: to_dyadic(v) + "2" for v in set(flat)}
     digits = "".join(map(words.__getitem__, flat))
     # bijective base 3 with digits 1, 2, 3 is plain base 3 plus a repunit
-    if len(digits) > _BIG_TRITS:
+    if len(digits) > _INT_STR_DIGITS:
         from .bigint import parse_base3
         value, power = parse_base3(digits)
         return value + (power - 1) // 2

@@ -294,11 +294,14 @@ def verify_crucial_step(record: EmbeddingRecord, budget: int | None = None,
                         ) -> tuple[bgs.CounterexampleResult, int]:
     """Run the counterexample search on the embedded index, with the budget
     defaulting to one past the oracle's prediction; return the search
-    result and the prediction z_pred."""
+    result and the prediction z_pred.
+
+    The record must hold n = triple_encode(m, 2, b_m), as `embed` makes it:
+    the index is built from those fields, not decoded from n."""
     z_pred = predicted_least_counterexample(record.k)
     if budget is None:
         budget = z_pred + 1
-    index = bgs.BgsIndex.from_natural(record.n)
+    index = bgs.BgsIndex(record.n, record.m, 2, record.b_m)
     result = bgs.counterexample(index, budget, cache)
     if not result.found and budget <= z_pred:
         raise BudgetTooSmallError(

@@ -245,8 +245,9 @@ def reference_decode_machine(m: int) -> TransitionTable:
 
 
 def reference_unpair(z: int) -> tuple[int, int]:
-    """The literal inverse of Cantor pairing that `codec.unpair` replaces
-    for large z: the diagonal w from math.isqrt, then z - w(w+1)/2."""
+    """The literal inverse of Cantor pairing, kept apart from `codec.unpair`
+    so that a change there is checked against it: the diagonal w from
+    math.isqrt, then z - w(w+1)/2."""
     w = (isqrt(8 * z + 1) - 1) // 2
     y = z - w * (w + 1) // 2
     return w - y, y

@@ -1,8 +1,10 @@
 """The big-integer layer against the builtins it replaces: recursive
-division against divmod, the Karatsuba square root against math.isqrt,
-the base-3 parse against int(s, 3) and 3 ** len, and the conversions that
-use them against their literal definitions, on random sizes, at each
-crossover and one limb either side, and on the powers of 2, 3 and 10."""
+division against divmod and the base-3 parse against int(s, 3) and
+3 ** len, on random sizes, at each crossover and one limb either side,
+and on the powers of 2, 3 and 10; the Goedel conversions that use the
+layer against their literal definitions; and the index codec, which does
+not use it, against the literal formulas on numbers of 20 000 and 95 000
+bits."""
 
 import math
 import os
@@ -91,45 +93,6 @@ def test_divmod_leaves_signs_and_zero_to_the_builtin():
         bigint.divmod(big, 0)
 
 
-# --- square root --------------------------------------------------------------
-
-def check_isqrt_rem(n):
-    s, r = bigint.isqrt_rem(n)
-    assert s == math.isqrt(n) and r == n - s * s, n.bit_length()
-    assert s * s <= n < (s + 1) * (s + 1)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.integers(0, 200_000), st.integers(0, 2 ** 32))
-def test_isqrt_rem_equals_the_builtin_on_random_sizes(bits, seed):
-    check_isqrt_rem(random.Random(seed).getrandbits(bits))
-
-
-@pytest.mark.parametrize("bits", [*range(bigint.SQRT_LIMIT - LIMB, bigint.SQRT_LIMIT + LIMB + 1),
-                                  *range(50_000, 50_004), *range(150_000, 150_004)])
-def test_isqrt_rem_at_every_bit_length_mod_4(bits):
-    rng = random.Random(bits)
-    check_isqrt_rem(1 << (bits - 1))
-    check_isqrt_rem((1 << bits) - 1)
-    check_isqrt_rem(rng.getrandbits(bits) | 1 << (bits - 1))
-
-
-def test_isqrt_rem_on_squares_their_neighbours_and_powers():
-    rng = random.Random(4)
-    for bits in (*around(bigint.SQRT_LIMIT // 2, LIMB), 20_000, 60_000):
-        for s in (rng.getrandbits(bits) | 1, rng.getrandbits(bits) & ~1):  # odd and even roots
-            for n in (s * s - 1, s * s, s * s + 1, s * s + 2 * s, (s + 1) * (s + 1) - 1):
-                check_isqrt_rem(n)
-    for n in near_powers([bigint.SQRT_LIMIT + LIMB, 30_000, 120_000]):
-        check_isqrt_rem(n)
-
-
-def test_isqrt_rem_rejects_a_negative_number():
-    for n in (-1, -(3 ** 20_000)):
-        with pytest.raises(ValueError):
-            bigint.isqrt_rem(n)
-
-
 # --- base-3 parse -------------------------------------------------------------
 
 def check_parse(digits):
@@ -182,7 +145,9 @@ def diagonal_points(w):
     return [w * (w + 1) // 2 + y for y in (0, 1, w // 2 - 1, w // 2, w // 2 + 1, w - 1, w)]
 
 
-@pytest.mark.parametrize("bits", [*around(codec._BIG_INDEX.bit_length() - 1, LIMB), 95_000])
+# sizes above every index that the command line compiles (below 2^18 000),
+# up to that of the cutoff-400 index (95 244 bits)
+@pytest.mark.parametrize("bits", [19_970, 20_000, 20_030, 95_000])
 def test_unpair_and_triple_decode_equal_the_literal_formula_across_the_crossover(bits):
     rng = random.Random(bits)
     parities = set()
@@ -196,7 +161,8 @@ def test_unpair_and_triple_decode_equal_the_literal_formula_across_the_crossover
 
 
 def test_unpair_and_triple_decode_at_the_crossover_itself():
-    for z in (codec._BIG_INDEX - 1, codec._BIG_INDEX, codec._BIG_INDEX + 1):
+    big = 1 << 20_000
+    for z in (big - 1, big, big + 1):
         assert codec.unpair(z) == reference_unpair(z)
         assert codec.triple_decode(z) == reference_triple_decode(z)
     for m in near_powers([20_000, 40_000]):
@@ -207,19 +173,21 @@ def test_unpair_and_triple_decode_at_the_crossover_itself():
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this interpreter has no int-str conversion limit")
 def test_the_cutoff_400_machine_converts_under_the_default_digit_limit(tmp_path):
-    # the Goedel number has 30 046 base-3 digits, far above the 4300 that
-    # int(s, 3) accepts by default; the conversions must not need the lift
+    # the Goedel numbers have from 5634 base-3 digits (cutoff 63) to 30 046
+    # (cutoff 400), all above the 4300 that int(s, 3) accepts by default;
+    # the conversions must not need the lift
     script = "\n".join([
         "import sys",
         "import bgslab",
         "sys.set_int_max_str_digits(4300)",
         "from bgslab import codec, machine, quasitrivial",
-        "q = quasitrivial.build_qt(400, k_max=400)",
+        "for k in (63, 100, 126, 400):",
+        "    q = quasitrivial.build_qt(k, k_max=k)",
+        "    machine.decode_machine.cache_clear()",
+        "    assert machine.decode_machine(q.m) == q.table, k",
+        "    b = quasitrivial.measure_b(q)",
+        "    assert codec.triple_decode(codec.triple_encode(q.m, 2, b)) == (q.m, 2, b), k",
         "assert len(machine._to_trits(q.m)) == 30046",
-        "machine.decode_machine.cache_clear()",
-        "assert machine.decode_machine(q.m) == q.table",
-        "b = quasitrivial.measure_b(q)",
-        "assert codec.triple_decode(codec.triple_encode(q.m, 2, b)) == (q.m, 2, b)",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -158,6 +158,18 @@ def test_dimacs_clause_count_mismatch_exits_two(capsys, tmp_path):
     assert rc == 2 and "promises" in err
 
 
+@pytest.mark.parametrize("text", [
+    "p cnf -1 0\n",
+    "p cnf -2 1\n0\n",  # an empty clause mentions no variable to check against V
+    "p cnf 1 -1\n",
+])
+def test_a_negative_dimacs_count_exits_two(capsys, tmp_path, text):
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, ["cnf-encode", "--dimacs", str(path)])
+    assert rc == 2 and out == "" and "bad DIMACS header" in err
+
+
 def test_missing_machine_file_exits_two(capsys):
     rc, _, err = run_cli(capsys, ["run", "--machine", "/nonexistent.tm", "--input", "0"])
     assert rc == 2

@@ -2,7 +2,7 @@
 the package's names resolve lazily to the same objects as before, a
 cache probe loads neither the cutoff-machine module nor `logging` or
 `csv`, no command loads `dataclasses` or the modules it imports, and
-only a number past a crossover loads the big-integer layer."""
+only a Goedel number past a crossover loads the big-integer layer."""
 
 import os
 import subprocess
@@ -134,10 +134,20 @@ def test_small_numbers_never_load_the_big_integer_layer(tmp_path, commands):
         assert "bgslab.cli" in loaded and "bgslab.bigint" not in loaded
 
 
-def test_an_index_past_the_crossover_loads_the_big_integer_layer(tmp_path):
+def test_a_large_index_decodes_without_the_big_integer_layer(tmp_path):
     n = bgslab.triple_encode(3 ** 20_000, 2, 5)
     loaded = loaded_by(cli_run(["triple", "--decode", str(n)]), tmp_path)
-    assert "bgslab.bigint" in loaded
+    assert "bgslab.cli" in loaded and "bgslab.bigint" not in loaded
+
+
+@pytest.mark.parametrize("cutoff,big", [(62, False), (63, True)])
+def test_only_a_goedel_number_past_the_default_digit_limit_loads_the_big_integer_layer(
+        tmp_path, cutoff, big):
+    # the cutoff-62 machine has 2978 base-3 digits, the cutoff-63 one 5634
+    (tmp_path / "bgslab.conf").write_text("k_max=64\n")
+    argv = ["--config", "bgslab.conf", "qt", "build", "--cutoff", str(cutoff), "--out", "m.tm"]
+    loaded = loaded_by(cli_run(argv), tmp_path)
+    assert "bgslab.cli" in loaded and ("bgslab.bigint" in loaded) == big
 
 
 def test_an_unwritable_cache_exits_two_without_loading_cutoff_machines(tmp_path):

@@ -414,6 +414,14 @@ def test_crucial_step_rows_pass(records):
         assert result.z >= k + 1
 
 
+@pytest.mark.parametrize("k", [*range(65), 127, 400])
+def test_the_searched_index_is_the_decoded_embedding(k):
+    # verify_crucial_step builds the index from the record's fields; it must
+    # be the index that decoding n gives
+    r = qt.embed(qt.build_qt(k, k_max=k))
+    assert bgs.BgsIndex.from_natural(r.n) == bgs.BgsIndex(r.n, r.m, 2, r.b_m)
+
+
 def test_crucial_step_budget_too_small(records):
     with pytest.raises(qt.BudgetTooSmallError):
         qt.verify_crucial_step(records[0], budget=50)
