@@ -37,12 +37,11 @@ same table object shares its memo: every unparsable m decodes to
 NULL_MACHINE, and decode_machine keeps the table of every m below 2^64 in
 a bounded LRU, so every index with the same such m gets the same table; a
 larger m keeps only its last table.  The table keeps, in its `answer`
-field, the answer of one search: its least counterexample z, the largest
-step count S among the entries it walked, and the witness table it
-walked.  A search records it only when its walk started at z = 0, found
-z, and ran every entry up to z to a halt.  A later index with the same
-table object, the same witness table and clock offset b >= S is answered
-without a walk, because
+field, the answer (z, S) of one search: its least counterexample z and
+the largest step count S among the entries it walked.  A search records
+it only when its walk started at z = 0, found z, and ran every entry up
+to z to a halt.  A later index with the same table object and clock
+offset b >= S is answered without a walk, because
 
 * every step limit |x|^a + b is at least b >= S,
 * so each of those entries halts again, after the same steps and with the
@@ -53,8 +52,8 @@ which is FOUND z when z < budget and EXHAUSTED at the budget otherwise.
 Nothing is recorded by a walk resumed from a cache's exhausted bound (the
 entries below it were not run under its clock), by an exhausted search,
 or by a walk in which the clock stopped any entry's run.  A halted run's
-steps and output do not depend on its clock, so two answers from one
-witness table are equal, in z and in S.
+steps and output do not depend on its clock, and every witness table
+holds the same entries, so any two answers are equal, in z and in S.
 """
 
 from __future__ import annotations
@@ -198,12 +197,11 @@ def counterexample(index: BgsIndex, budget: int,
     """Budgeted mu-search for the least failing pair z of the indexed machine.
 
     Answers from the decoded table's answer memo when it holds an answer
-    (z, S) from the current witness table and the index's clock offset is
-    b >= S (see the module docstring): FOUND z when z < budget, else
-    EXHAUSTED at the budget.  Otherwise walks the shared witness table from
-    its first entry, running the machine once under the index's clock on
-    each entry's x, and returns the first entry below the budget whose
-    output fails V; a walk from z = 0 that found z with every run up to it
+    (z, S) and the index's clock offset is b >= S (see the module
+    docstring): FOUND z when z < budget, else EXHAUSTED at the budget.
+    Otherwise walks the shared witness table from its first entry, running
+    the machine once under the index's clock on each entry's x, and
+    returns the first entry below the budget whose output fails V; a walk from z = 0 that found z with every run up to it
     halted records its answer.  This equals the literal search over
     z = 0, 1, ..., budget - 1, field for field: `scanned` is z + 1 when
     found, else the budget, the range of z settled.
@@ -228,12 +226,12 @@ def counterexample(index: BgsIndex, budget: int,
         if hit is not None:
             return hit
         start = cache.resume_from(key)
-    table, witnesses = index.table(), _TABLE
+    table = index.table()
     answer = table.answer
-    if answer is not None and answer[2] is witnesses and index.b >= answer[1]:
+    if answer is not None and index.b >= answer[1]:
         result = _least_is(answer[0], budget)
     else:
-        result = _walk(table, index.clock, witnesses, start, budget)
+        result = _walk(table, index.clock, start, budget)
     if cache is not None:
         cache.record(key, result)
     return result
@@ -249,13 +247,13 @@ def _least_is(z: int, budget: int) -> CounterexampleResult:
     return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
 
 
-def _walk(table: TransitionTable, clock: ClockSpec, witnesses: _WitnessTable,
-          start: int, budget: int) -> CounterexampleResult:
-    """The first entry of witnesses with start <= z < budget whose output
-    fails V, recording the table's answer when the walk allows one."""
+def _walk(table: TransitionTable, clock: ClockSpec, start: int,
+          budget: int) -> CounterexampleResult:
+    """The first entry of the witness table with start <= z < budget whose
+    output fails V, recording the table's answer when the walk allows one."""
     settled = start == 0  # every entry from z = 0 so far was a halted run
     most = 0  # the largest step count among them
-    for z, x in witnesses.walk(start, budget):
+    for z, x in _TABLE.walk(start, budget):
         result = run_clocked(table, clock, x)
         if not result.halted:
             settled = False
@@ -263,8 +261,7 @@ def _walk(table: TransitionTable, clock: ClockSpec, witnesses: _WitnessTable,
             most = result.steps
         if sat.verify_pair(x, result.output) == 0:
             if settled:
-                # any two answers from one witness table are equal
-                table.answer = (z, most, witnesses)
+                table.answer = (z, most)  # any two answers are equal
             return _least_is(z, budget)
     return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
 

@@ -1,44 +1,28 @@
-"""Exact arithmetic on naturals of tens of thousands of bits and more.
+"""Exact division of naturals of tens of thousands of bits and more.
 
 CPython 3.11 multiplies large ints by Karatsuba's method, but it divides
-and parses base-3 digits in time quadratic in their size.  This module
-builds both on its multiplication:
+in time quadratic in their size.  `divmod` builds division on its
+multiplication by Burnikel and Ziegler's recursive method (MPI-I-98-1-022,
+1998): two half-size divisions and two half-size products per level.
 
-* `divmod`: Burnikel and Ziegler's recursive division (MPI-I-98-1-022,
-  1998), two half-size divisions and two half-size products per level;
-* `parse_base3`: a base-3 digit string read by halves (Brent and
-  Zimmermann, *Modern Computer Arithmetic*, §1.7), returning 3^len with
-  the value.
-
-Every result is exact, and each function calls the builtin below a
-crossover measured where it is defined.  Only the Goedel numbering
-imports this module: `machine._to_trits` for a machine of more than
-`machine._BIG_TRITS` digits, and `encode_machine` for a digit string
-that `int(s, 3)` would refuse under CPython's default limit, so small
-numbers never pay for it.
+Every result is exact, and `divmod` calls the builtin below a crossover
+measured where it is defined.  Only `machine._to_trits` imports this
+module, for a Goedel number of more than `machine._INT_STR_DIGITS` base-3
+digits, so small numbers never pay for it.
 """
 
 from __future__ import annotations
 
 import builtins
 
-# The crossovers below were measured with Python 3.11.7 on a 2-vCPU x86-64
-# host, as the least of 60 calls of each side, alternated, in one process.
-
 # A division whose quotient or divisor has at most this many bits is left
-# to the builtin.  divmod of a 2n-bit number by an n-bit one took, builtin
-# / recursive: 20 / 21 us at n = 3000, 34 / 33 us at 4000, 51 / 45 us at
-# 5000, 127 / 96 us at 8000 and 4.2 / 1.6 ms at 48 000 bits; a limit of
-# 2000 made n = 3000 slower (25 us), and one of 4000 or 6000 made n = 8000
-# slower (104 us).
+# to the builtin.  As the least of 60 calls of each side, alternated, in
+# one process, on Python 3.11.7 and a 2-vCPU x86-64 host, divmod of a
+# 2n-bit number by an n-bit one took, builtin / recursive: 20 / 21 us at
+# n = 3000, 34 / 33 us at 4000, 51 / 45 us at 5000, 127 / 96 us at 8000
+# and 4.2 / 1.6 ms at 48 000 bits; a limit of 2000 made n = 3000 slower
+# (25 us), and one of 4000 or 6000 made n = 8000 slower (104 us).
 DIV_LIMIT = 3000
-
-# A digit string of at most this many digits is parsed by int(s, 3).  At
-# 30 000 digits, where int(s, 3) with 3 ** 30 000 took 2.10 ms, the parse
-# took 1.56, 1.52, 1.53 and 1.46 ms with a limit of 500, 1000, 2000 and
-# 4000 digits; below 4300 digits, CPython's default limit on int(s, base)
-# for a base that is not a power of two, a parse needs no lift of it.
-PARSE_LIMIT = 2000
 
 _divmod = builtins.divmod
 
@@ -93,25 +77,3 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
         q -= 1
         r += b
     return q, r
-
-
-def parse_base3(digits: str) -> tuple[int, int]:
-    """(int(digits, 3), 3^len(digits)) for a string of digits 0, 1 and 2,
-    the empty string included: the high and the low half parsed alone,
-    joined by one multiplication by the low half's power."""
-    powers: dict[int, int] = {}  # length -> 3^length; each level has at most two lengths
-
-    def parse(start: int, stop: int) -> int:
-        size = stop - start
-        if size <= PARSE_LIMIT:
-            if size not in powers:
-                powers[size] = 3 ** size
-            return int(digits[start:stop] or "0", 3)
-        middle = stop - (size >> 1)
-        high, low = parse(start, middle), parse(middle, stop)
-        if size not in powers:
-            powers[size] = powers[middle - start] * powers[stop - middle]
-        return high * powers[stop - middle] + low
-
-    value = parse(0, len(digits))
-    return value, powers[len(digits)]

@@ -16,7 +16,9 @@ Model, fixed once:
 
 Machines are Goedel-numbered through a flat sequence code of transition
 5-tuples, so that *every* natural decodes to some machine (unparsable
-numbers decode to the machine with no transitions at all).
+numbers decode to the machine with no transitions at all).  Both
+directions use CPython's builtins up to its default limit of 4300 digits
+on int(s, 3), and take subquadratic time past it.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ class TransitionTable:
 
     `answer` is not part of the machine: it is the memo that
     `bgs.counterexample` keeps for every index sharing this table object.
-    It holds one search's least counterexample z, the largest step count S
-    of the runs that settled it and the witness table it walked, so an
-    index with clock offset b >= S is answered without a walk.  Unlike the
-    package's other records, which are named tuples, a table is a plain
-    object, so that `bgs` can set its memo; like its `transitions` dict, it
-    is not hashable.
+    It holds (z, S): one search's least counterexample z and the largest
+    step count S of the runs that settled it, so an index with clock
+    offset b >= S is answered without a walk.  Unlike the package's other
+    records, which are named tuples, a table is a plain object, so that
+    `bgs` can set its memo; like its `transitions` dict, it is not
+    hashable.
     """
 
     __hash__ = None
@@ -96,7 +98,7 @@ class TransitionTable:
             cells[rows[q] + s] = (rows.get(nxt, halting), write,
                                   1 if move == MOVE_R else -1, nxt)
         self.step_table = cells
-        self.answer: tuple[int, int, object] | None = None
+        self.answer: tuple[int, int] | None = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -124,10 +126,6 @@ class ClockSpec(namedtuple("ClockSpec", "a b")):
     def _make(cls, iterable) -> "ClockSpec":
         # namedtuple's _make and _replace skip __new__; keep the check
         return cls(*iterable)
-
-    def bound(self, input_value: int) -> int:
-        # |x| = len(to_dyadic(x)), without building the string
-        return ((input_value + 1).bit_length() - 1) ** self.a + self.b
 
 
 class RunResult(NamedTuple):
@@ -219,7 +217,7 @@ def step_limit(clock: ClockSpec, input_value: int) -> int | None:
     before such a bound, so its result is the same, but a machine that
     loops under such a clock runs without end.
     """
-    length = (input_value + 1).bit_length() - 1  # |x|, as in ClockSpec.bound
+    length = (input_value + 1).bit_length() - 1  # |x| = len(to_dyadic(x)), unbuilt
     if clock.a >= 64 and length >= 2:
         return None
     bound = length ** clock.a + clock.b
@@ -271,10 +269,10 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 # one list comprehension of divmod over its parts, so the per-digit work
 # is done by C big-integer division instead of interpreted calls.  CPython
 # divides by the schoolbook method, quadratic in the size, so above
-# _BIG_TRITS digits a level whose divisor has more than bigint.DIV_LIMIT
-# bits divides by recursive division, in a few multiplications' time.
-# encode_machine parses more than _INT_STR_DIGITS digits by halves, which
-# also gives 3^L for the repunit.
+# _INT_STR_DIGITS digits a level whose divisor has more than
+# bigint.DIV_LIMIT bits divides by recursive division, in a few
+# multiplications' time.  encode_machine reads the digits back by
+# _parse_base3, which also gives 3^L for the repunit.
 #
 # A parsed field holds only the digits 0 and 1, so it is read as a dyadic
 # string without from_dyadic's check, once per distinct field, and one
@@ -299,24 +297,17 @@ def run_clocked(table: TransitionTable, clock: ClockSpec, input_value: int,
 
 _LEAF_WIDTH = 6
 
-# Above this many base-3 digits, _to_trits divides through `bigint`.  Per
-# call, builtin / bigint, as the least of 60 calls of each, alternated, on
-# Python 3.11.7 and a 2-vCPU x86-64 host: 488 / 489 us at 8000 digits,
-# 812 / 764 us at 12 000, 1.34 / 1.20 ms at 16 000 and 4.0 / 3.1 ms at
-# 30 046 (the cutoff-400 machine); a gate at _INT_STR_DIGITS gained
-# nothing (within 1 % at 5634 to 6578 digits, cutoffs 63 to 126).  Every
-# machine that the command line compiles (cutoffs up to 64, at most 5647
-# digits) stays below.
-_BIG_TRITS = 12_000
-
-# Above this many digits, encode_machine parses by halves through `bigint`.
-# This is CPython's default limit on int(s, 3), so no Goedel number needs
-# the lift of that limit that `import bgslab` makes; cutoffs 63 and 64
-# (5634 and 5647 digits) are the compiled machines that parse by halves.
-# The parse with its power of 3, builtin / bigint, took 163 / 160 us at
-# 8000 digits, 352 / 320 us at 12 000 and 2.10 / 1.53 ms at 30 000, as
-# above; encode_machine at cutoffs 63 to 126 (5634 to 6578 digits) took 1
-# to 3 % longer by halves than with int(s, 3).
+# Above this many base-3 digits, a Goedel number leaves CPython's builtins,
+# which take time quadratic in its size: _parse_base3 splits it and
+# _to_trits divides through `bigint`.  This is CPython's default limit on
+# int(s, 3), so no conversion needs the lift of that limit that `import
+# bgslab` makes; cutoffs 63 and 64 (5634 and 5647 digits) are the compiled
+# machines past it.  Other limits gain little: as the least of 60
+# alternated calls on Python 3.11.7 and a 2-vCPU x86-64 host, at cutoffs
+# 63 to 400 (5634 to 30 046 digits), _to_trits with a gate at 12 000
+# digits read within 2 % of this one in one session and up to 6 % faster
+# at cutoffs 63 to 126 in another, and _parse_base3 with pieces of at
+# most 2000 digits read within 7 %.
 _INT_STR_DIGITS = 4300
 
 # _LEAVES[w][r] is r (0 <= r < 3^w) as exactly w base-3 digits
@@ -343,7 +334,7 @@ def _to_trits(n: int) -> str:
     powers = [3 ** _LEAF_WIDTH]  # powers[i] = 3^(6 * 2^i)
     for _ in range(levels - 1):
         powers.append(powers[-1] * powers[-1])
-    big = length > _BIG_TRITS
+    big = length > _INT_STR_DIGITS
     if big:
         from . import bigint
     # head holds the first `top` leaves; at level i each part of rest holds 2^(i+1)
@@ -361,19 +352,39 @@ def _to_trits(n: int) -> str:
     return first[head] + "".join([leaf[part] for part in rest])
 
 
+def _parse_base3(digits: str) -> tuple[int, int]:
+    """(int(digits, 3), 3^len(digits)) for a string of digits 0, 1 and 2,
+    the empty string included: one int(s, 3) for at most _INT_STR_DIGITS
+    digits, else the high and the low half parsed alone, joined by one
+    multiplication by the low half's power (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, §1.7)."""
+    powers: dict[int, int] = {}  # length -> 3^length; each level has at most two lengths
+
+    def parse(start: int, stop: int) -> int:
+        size = stop - start
+        if size <= _INT_STR_DIGITS:
+            if size not in powers:
+                powers[size] = 3 ** size
+            return int(digits[start:stop] or "0", 3)
+        middle = stop - (size >> 1)
+        high, low = parse(start, middle), parse(middle, stop)
+        if size not in powers:
+            powers[size] = powers[middle - start] * powers[stop - middle]
+        return high * powers[stop - middle] + low
+
+    value = parse(0, len(digits))
+    return value, powers[len(digits)]
+
+
 def encode_machine(table: TransitionTable) -> int:
     flat: list[int] = []
     for (q, s), t in sorted(table.transitions.items()):
         nxt = 0 if t.next_state == HALT else t.next_state + 1
         flat += (q, s, nxt, t.write, 0 if t.move == MOVE_L else 1)
     words = {v: to_dyadic(v) + "2" for v in set(flat)}
-    digits = "".join(map(words.__getitem__, flat))
     # bijective base 3 with digits 1, 2, 3 is plain base 3 plus a repunit
-    if len(digits) > _INT_STR_DIGITS:
-        from .bigint import parse_base3
-        value, power = parse_base3(digits)
-        return value + (power - 1) // 2
-    return int(digits or "0", 3) + (3 ** len(digits) - 1) // 2
+    value, power = _parse_base3("".join(map(words.__getitem__, flat)))
+    return value + (power - 1) // 2
 
 
 _SMALL_GOEDEL = 1 << 64  # m below this has its table kept in the LRU

@@ -68,7 +68,6 @@ class QuasiTrivialMachine(NamedTuple):
     table: TransitionTable
     m: int  # Goedel number of the table
     k: int
-    witnesses: tuple[int, ...]  # witnesses[x] = decider's witness of x <= k, 0 when none
 
 
 class EmbeddingRecord(NamedTuple):
@@ -139,8 +138,7 @@ def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
             if nxt != HALT:
                 next_free += 1
     table = TransitionTable(state_count=next_free, transitions=transitions)
-    return QuasiTrivialMachine(table=table, m=encode_machine(table), k=k,
-                               witnesses=answers)
+    return QuasiTrivialMachine(table=table, m=encode_machine(table), k=k)
 
 
 def dispatch_slack(k: int) -> int:

@@ -204,8 +204,7 @@ def reference_build_qt(k: int):
             if nxt != HALT:
                 next_free += 1
     table = TransitionTable(state_count=next_free, transitions=transitions)
-    return quasitrivial.QuasiTrivialMachine(table=table, m=encode_machine(table), k=k,
-                                            witnesses=answers)
+    return quasitrivial.QuasiTrivialMachine(table=table, m=encode_machine(table), k=k)
 
 
 def reference_to_trits(n: int) -> str:

@@ -15,7 +15,7 @@ import sys
 import time
 
 from bgslab import bgs, codec, quasitrivial as qt, sat
-from bgslab.machine import ClockSpec, NULL_MACHINE, decode_machine, run, run_clocked
+from bgslab.machine import ClockSpec, NULL_MACHINE, decode_machine, run, run_clocked, step_limit
 
 from helpers import ERASER, LOOPER, SCANNER, random_table
 
@@ -91,7 +91,7 @@ def test_criterion_2_clock_semantics():
                 table = random_table(rng)
             clock = ClockSpec(rng.randint(1, 3), rng.randint(1, 50))
             x = rng.randint(0, 511)
-            bound = clock.bound(x)
+            bound = step_limit(clock, x)
             clocked = run_clocked(table, clock, x)
             assert clocked.steps <= bound
             free = run(table, x, bound)

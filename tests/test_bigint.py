@@ -1,10 +1,10 @@
-"""The big-integer layer against the builtins it replaces: recursive
-division against divmod and the base-3 parse against int(s, 3) and
-3 ** len, on random sizes, at each crossover and one limb either side,
-and on the powers of 2, 3 and 10; the Goedel conversions that use the
-layer against their literal definitions; and the index codec, which does
-not use it, against the literal formulas on numbers of 20 000 and 95 000
-bits."""
+"""The big-integer arithmetic against the builtins it replaces: recursive
+division against divmod and the Goedel numbering's base-3 parse by halves
+against int(s, 3) and 3 ** len, on random sizes, at each crossover and
+one limb either side, and on the powers of 2, 3 and 10; the Goedel
+conversions that use it against their literal definitions; and the index
+codec, which does not use it, against the literal formulas on numbers of
+20 000 and 95 000 bits."""
 
 import math
 import os
@@ -96,7 +96,7 @@ def test_divmod_leaves_signs_and_zero_to_the_builtin():
 # --- base-3 parse -------------------------------------------------------------
 
 def check_parse(digits):
-    assert bigint.parse_base3(digits) == (int(digits or "0", 3), 3 ** len(digits)), len(digits)
+    assert machine._parse_base3(digits) == (int(digits or "0", 3), 3 ** len(digits)), len(digits)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -106,8 +106,10 @@ def test_parse_base3_equals_the_builtin_on_random_sizes(length, seed):
     check_parse("".join(rng.choices("012", k=length)))
 
 
-@pytest.mark.parametrize("length", [0, 1, *around(bigint.PARSE_LIMIT, LIMB_TRITS),
-                                    *around(machine._BIG_TRITS, LIMB_TRITS)])
+# the crossover and sizes well below and above it, each with one limb either side
+@pytest.mark.parametrize("length", [0, 1, *around(2000, LIMB_TRITS),
+                                    *around(machine._INT_STR_DIGITS, LIMB_TRITS),
+                                    *around(12_000, LIMB_TRITS)])
 def test_parse_base3_at_its_crossovers(length):
     rng = random.Random(length)
     for digits in ("0" * length, "2" * length, "".join(rng.choices("012", k=length))):
@@ -115,7 +117,7 @@ def test_parse_base3_at_its_crossovers(length):
 
 
 def test_parse_base3_on_the_powers_of_2_3_and_10():
-    for v in near_powers([bigint.PARSE_LIMIT * 2, 20_000, 40_000]):
+    for v in near_powers([4000, 20_000, 40_000]):
         digits = plain_base3(v)
         check_parse(digits)
         check_parse("0" * 7 + digits)  # leading zeros
@@ -124,11 +126,14 @@ def test_parse_base3_on_the_powers_of_2_3_and_10():
 # --- the conversions that use the layer ---------------------------------------
 
 def bijective_lengths():
-    """Every length up to 200, and each leaf and level boundary of the
-    split: 6 * 2^i and one digit either side, and machine._BIG_TRITS."""
+    """Every length up to 200, each leaf and level boundary of the split:
+    6 * 2^i and one digit either side, the crossover machine._INT_STR_DIGITS
+    and one digit and one limb either side, and 12 000, well above it, and
+    one digit either side."""
     levels = [6 << i for i in range(13)]
     return sorted({*range(201), *(n + d for n in levels for d in (-1, 0, 1)),
-                   *around(machine._BIG_TRITS, 1)})
+                   *around(machine._INT_STR_DIGITS, 1),
+                   *around(machine._INT_STR_DIGITS, LIMB_TRITS), *around(12_000, 1)})
 
 
 @pytest.mark.parametrize("length", bijective_lengths())

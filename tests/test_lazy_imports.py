@@ -2,7 +2,8 @@
 the package's names resolve lazily to the same objects as before, a
 cache probe loads neither the cutoff-machine module nor `logging` or
 `csv`, no command loads `dataclasses` or the modules it imports, and
-only a Goedel number past a crossover loads the big-integer layer."""
+only the decoding of a Goedel number past CPython's default digit limit
+loads the big-integer layer."""
 
 import os
 import subprocess
@@ -140,12 +141,21 @@ def test_a_large_index_decodes_without_the_big_integer_layer(tmp_path):
     assert "bgslab.cli" in loaded and "bgslab.bigint" not in loaded
 
 
+def test_encoding_never_loads_the_big_integer_layer(tmp_path):
+    # the cutoff-64 machine has 5647 base-3 digits, past the default limit
+    (tmp_path / "bgslab.conf").write_text("k_max=64\n")
+    argv = ["--config", "bgslab.conf", "qt", "build", "--cutoff", "64", "--out", "m.tm"]
+    loaded = loaded_by(cli_run(argv), tmp_path)
+    assert "bgslab.cli" in loaded and "bgslab.bigint" not in loaded
+
+
 @pytest.mark.parametrize("cutoff,big", [(62, False), (63, True)])
 def test_only_a_goedel_number_past_the_default_digit_limit_loads_the_big_integer_layer(
         tmp_path, cutoff, big):
-    # the cutoff-62 machine has 2978 base-3 digits, the cutoff-63 one 5634
+    # the cutoff-62 machine has 2978 base-3 digits, the cutoff-63 one 5634;
+    # qt verify decodes the machine for its search, where qt build only encodes
     (tmp_path / "bgslab.conf").write_text("k_max=64\n")
-    argv = ["--config", "bgslab.conf", "qt", "build", "--cutoff", str(cutoff), "--out", "m.tm"]
+    argv = ["--config", "bgslab.conf", "qt", "verify", "--cutoffs", f"{cutoff}..{cutoff}"]
     loaded = loaded_by(cli_run(argv), tmp_path)
     assert "bgslab.cli" in loaded and ("bgslab.bigint" in loaded) == big
 

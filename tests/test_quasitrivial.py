@@ -29,10 +29,9 @@ def records(machines):
 # --- compiler ----------------------------------------------------------------
 
 def test_cutoff_spec_agrees_with_decider():
-    witnesses = qt.build_qt(12).witnesses
-    assert len(witnesses) == 13
+    table = qt.build_qt(12).table
     for x in range(13):
-        assert witnesses[x] == sat.decider(x).witness
+        assert run(table, x, 10_000).output == sat.decider(x).witness
 
 
 def test_cutoff_zero_is_behaviorally_constant_zero(machines):
@@ -67,8 +66,7 @@ def test_halts_on_window_with_recorded_steps(machines):
 def test_nontrivial_witness_is_written_back():
     # 11 is the least satisfiable formula code; its witness is 2 ("1")
     q = qt.build_qt(11)
-    assert run(q.table, 11, 10_000).output == 2
-    assert q.witnesses[11] == 2
+    assert run(q.table, 11, 10_000).output == sat.decider(11).witness == 2
 
 
 def test_reject_path_runs_in_input_length(machines):
@@ -363,7 +361,7 @@ def test_the_walk_equals_the_per_input_loops_on_random_tables(monkeypatch, fuel)
     for _ in range(150):
         table = rng.choice((random_table, random_eraser_table))(rng)
         k = rng.randint(0, 40)
-        q = qt.QuasiTrivialMachine(table=table, m=encode_machine(table), k=k, witnesses=())
+        q = qt.QuasiTrivialMachine(table=table, m=encode_machine(table), k=k)
         assert outcome(qt.measure_b, q) == outcome(reference_measure_b, q)
 
 
@@ -509,7 +507,7 @@ def test_clocked_steps_stay_strictly_under_bound(machines, records):
     q, record = machines[8], records[8]
     clock = ClockSpec(2, record.b_m)
     for x in range(150):
-        assert run_clocked(q.table, clock, x).steps < clock.bound(x)
+        assert run_clocked(q.table, clock, x).steps < machine.step_limit(clock, x)
 
 
 # --- largest supported cutoff ----------------------------------------------------

@@ -24,9 +24,9 @@ RECORDS = [
     (CounterexampleResult(CounterexampleStatus.FOUND, 93, 94, 100),
      "CounterexampleResult(status=<CounterexampleStatus.FOUND: 'found'>, z=93, scanned=94,"
      " budget=100)"),
-    (QuasiTrivialMachine(TransitionTable(1, {}), M0, 0, (0,)),
+    (QuasiTrivialMachine(TransitionTable(1, {}), M0, 0),
      f"QuasiTrivialMachine(table=TransitionTable(state_count=1, transitions={{}}), m={M0},"
-     " k=0, witnesses=(0,))"),
+     " k=0)"),
     (EmbeddingRecord(m=M0, k=0, b_m=2, n=N0), f"EmbeddingRecord(m={M0}, k=0, b_m=2, n={N0})"),
     (NoInterruptReport(ok=True, failed_at=None), "NoInterruptReport(ok=True, failed_at=None)"),
     (LemmaCheckRow(0, M0, 2, N0, "found", 93, 93, True, True, True),
@@ -75,7 +75,7 @@ def test_equal_tables_compare_equal_and_keep_their_own_memos():
     assert first == second and not first != second
     assert first != TransitionTable(3, transitions)
     assert first != (2, transitions)
-    first.answer = (93, 1, None)
+    first.answer = (93, 1)
     assert second.answer is None
     assert first == second
     with pytest.raises(TypeError):
