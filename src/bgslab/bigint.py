@@ -5,10 +5,11 @@ in time quadratic in their size.  `divmod` builds division on its
 multiplication by Burnikel and Ziegler's recursive method (MPI-I-98-1-022,
 1998): two half-size divisions and two half-size products per level.
 
-Every result is exact, and `divmod` calls the builtin below a crossover
-measured where it is defined.  Only `machine._to_trits` imports this
-module, for a Goedel number of more than `machine._INT_STR_DIGITS` base-3
-digits, so small numbers never pay for it.
+Every result is exact.  `divmod` recurses only on a dividend below b 2^|b|,
+the shape of every division of `machine._to_trits`, its only importer, for
+a Goedel number of more than `machine._INT_STR_DIGITS` base-3 digits; any
+other division, and any below a crossover measured where it is defined,
+is the builtin's, so small numbers never pay for it.
 """
 
 from __future__ import annotations
@@ -28,22 +29,13 @@ _divmod = builtins.divmod
 
 
 def divmod(a: int, b: int) -> tuple[int, int]:
-    """divmod(a, b) exactly; recursive for a natural a and b > 0 whose
-    quotient and divisor both have more than DIV_LIMIT bits.
-
-    The dividend is read in digits of n = |b| bits from the top, and each
-    digit, after the remainder so far, is one division of 2n bits by n."""
+    """divmod(a, b) exactly: recursive for 0 <= a < b 2^n with n = |b|, a
+    division of 2n bits by n, while more than DIV_LIMIT bits of a lie above
+    the divisor's; any other division is the builtin's, quadratic in size."""
     n = b.bit_length()
-    if a < 0 or b < 0 or min(n, a.bit_length() - n) <= DIV_LIMIT:
-        return _divmod(a, b)
-    mask = (1 << n) - 1
-    shift = (a.bit_length() - 1) // n * n  # the lowest bit of the top digit
-    q = r = 0
-    while shift >= 0:
-        digit, r = _div2n1n((r << n) | ((a >> shift) & mask), b, n)
-        q = (q << n) | digit
-        shift -= n
-    return q, r
+    if b > 0 and 0 <= a >> n < b:
+        return _div2n1n(a, b, n)
+    return _divmod(a, b)
 
 
 def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:

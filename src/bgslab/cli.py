@@ -95,7 +95,7 @@ def _parse_range(text: str, limit: int) -> list[int]:
 
 
 def parse_dimacs(text: str) -> list[list[int]]:
-    """Subset of DIMACS cnf: `p cnf V C` header, one 0-terminated clause per line."""
+    """Subset of DIMACS cnf: one `p cnf V C` header, one 0-terminated clause per line."""
     header: tuple[int, int] | None = None
     clauses: list[list[int]] = []
     for raw in text.splitlines():
@@ -104,7 +104,7 @@ def parse_dimacs(text: str) -> list[list[int]]:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if header is not None or len(parts) != 4 or parts[1] != "cnf":
                 raise UsageError(f"bad DIMACS header: {line!r}")
             try:
                 header = (int(parts[2]), int(parts[3]))

@@ -414,7 +414,6 @@ def _parse_machine(m: int) -> TransitionTable:
     flat = map(values.__getitem__, fields)  # one iterator, zipped five times
     transitions: dict[tuple[int, int], Transition] = {}
     shared: dict[tuple[int, int, int], Transition] = {}  # one object per distinct entry
-    max_state = 0
     for q, s, nxt, write, move in zip(flat, flat, flat, flat, flat):
         if s > 2 or write > 2 or move > 1 or (q, s) in transitions:
             return NULL_MACHINE
@@ -423,8 +422,9 @@ def _parse_machine(m: int) -> TransitionTable:
             t = shared[nxt, write, move] = Transition(
                 HALT if nxt == 0 else nxt - 1, write, MOVE_L if move == 0 else MOVE_R)
         transitions[(q, s)] = t
-        max_state = max(max_state, q, t.next_state)
-    return TransitionTable(state_count=max_state + 1, transitions=transitions)
+    # m's digits end in a separator, so a transition exists; HALT's next field is 0
+    top = max(max(transitions)[0], max(shared)[0] - 1)
+    return TransitionTable(state_count=top + 1, transitions=transitions)
 
 
 _decode_small = lru_cache(maxsize=_SMALL_TABLES)(_parse_machine)
@@ -444,7 +444,7 @@ decode_machine.cache_clear = _clear_decoded
 #   states N
 #   q sym -> q' sym' M
 #
-# with sym in {0, 1, _}, M in {L, R}, and HALT allowed as q'.
+# with sym in {0, 1, _}, M in {L, R}, N, q and q' in ASCII digits, and HALT allowed as q'.
 
 _SYMBOL_CHARS = {"0": 0, "1": 1, "_": BLANK}
 _CHAR_SYMBOLS = {v: k for k, v in _SYMBOL_CHARS.items()}
@@ -454,13 +454,20 @@ class MachineFormatError(ValueError):
     pass
 
 
+def _parse_state(text: str) -> int:
+    # int() alone would also read signs (HALT's -1), underscores and other digits
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad state {text!r}")
+    return int(text)
+
+
 def parse_machine_file(text: str) -> TransitionTable:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("states"):
         raise MachineFormatError("first line must be 'states N'")
     try:
-        state_count = int(lines[0].split()[1])
+        state_count = _parse_state(lines[0].split()[1])
     except (IndexError, ValueError):
         raise MachineFormatError("first line must be 'states N'") from None
     transitions: dict[tuple[int, int], Transition] = {}
@@ -474,8 +481,8 @@ def parse_machine_file(text: str) -> TransitionTable:
         if move not in (MOVE_L, MOVE_R):
             raise MachineFormatError(f"bad move in line: {ln!r}")
         try:
-            q = int(q_raw)
-            nq = HALT if nq_raw == "HALT" else int(nq_raw)
+            q = _parse_state(q_raw)
+            nq = HALT if nq_raw == "HALT" else _parse_state(nq_raw)
         except ValueError:
             raise MachineFormatError(f"bad state in line: {ln!r}") from None
         key = (q, _SYMBOL_CHARS[sym_raw])

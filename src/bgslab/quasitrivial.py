@@ -88,12 +88,6 @@ def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
         raise ValueError("cutoff must be a natural number")
     if k > k_max:
         raise CutoffTooLargeError(f"cutoff {k} exceeds the limit {k_max}")
-    for x in range(k + 1):
-        formula = decode_cnf(x)
-        if formula is not None and formula.var_count > sat.BRUTE_WIDTH_LIMIT:
-            raise sat.WidthExceededError(
-                f"input {x} below cutoff has {formula.var_count} variables")
-    answers = tuple(sat.decider(x).witness for x in range(k + 1))
     depth = len(to_dyadic(k))  # every accepted string has length <= depth
 
     leaves = (1 << depth) - 1  # the first node of depth `depth`
@@ -115,7 +109,11 @@ def build_qt(k: int, k_max: int = DEFAULT_K_MAX) -> QuasiTrivialMachine:
             transitions[(x, 1)] = to_eraser
         if x > k:
             continue  # unaccepted depth-limit node: blank already halts in place
-        witness_bits = to_dyadic(answers[x])
+        formula = decode_cnf(x)
+        if formula is not None and formula.var_count > sat.BRUTE_WIDTH_LIMIT:
+            raise sat.WidthExceededError(
+                f"input {x} below cutoff has {formula.var_count} variables")
+        witness_bits = to_dyadic(sat.decider(x).witness)
         if not witness_bits:
             # witness 0: explicit halt, so tables for distinct cutoffs differ
             # even when no stored witness distinguishes them
@@ -157,13 +155,12 @@ def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int
     string were read by transitions that write blank and move right; a
     node reads one symbol past its parent only when the parent read its
     whole string.  After those j steps the cells left of the head at j
-    are blank and the rest hold the unread input, so every x is settled
-    one way: the simulator's step loop (`machine._resume`) resumes its run
-    from that row at step j, on j blank cells and the unread suffix, if
-    any.  A run past its limit within j steps needs no resumed loop, nor
-    does a fully read node whose row has no blank transition: it halts
-    after |x| steps.  A transition into HALT leads to the step table's row
-    of None cells, so a read that stops there needs no rule of its own.
+    are blank and the rest hold the unread input.  So a node is either
+    past its limit within those j steps, or else the simulator's step loop
+    (`machine._resume`) resumes x's run from that row at step j, on j blank
+    cells and the unread suffix, if any.  That loop also settles a fully
+    read node whose row has no blank transition (it halts after |x| steps)
+    and a read that stops in HALT (the step table's row of None cells).
     """
     cells = table.step_table
     limits = [limit_at(depth) for depth in range((upper + 1).bit_length())]
@@ -186,8 +183,6 @@ def _run_steps(table: TransitionTable, upper: int, limit_at: Callable[[int], int
         reads.append(read)
         if read > limit:
             yield None, row, read
-        elif read == depth and cells[row + BLANK] is None:
-            yield depth, row, read
         else:
             tape = bytearray((BLANK,)) * read
             if read < depth:
@@ -201,8 +196,8 @@ def measure_b(q: QuasiTrivialMachine) -> int:
     plus the dispatch slack.  Deterministic and always >= 1.
 
     The runtimes on x = 0..k come from one walk over the machine's trie
-    (`_run_steps`), where each x resumes where its erasing read stopped;
-    they equal one run of up to _MEASURE_FUEL steps per x."""
+    (`_run_steps`), where every x resumes in the step loop where its erasing
+    read stopped; they equal one run of up to _MEASURE_FUEL steps per x."""
     worst = 0
     for x, (steps, _, _) in enumerate(_run_steps(q.table, q.k, lambda depth: _MEASURE_FUEL)):
         if steps is None:

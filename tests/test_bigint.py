@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bgslab
-from bgslab import bigint, codec, machine
+from bgslab import bigint, codec, machine, quasitrivial
 
 from helpers import reference_to_trits, reference_triple_decode, reference_unpair
 
@@ -142,6 +142,28 @@ def test_to_trits_equals_the_literal_loop_at_every_length_and_boundary(length):
     high = (3 ** (length + 1) - 1) // 2 - 1
     for n in {low, high, random.Random(length).randint(low, high)}:
         assert machine._to_trits(n) == reference_to_trits(n), (length, n - low)
+
+
+@pytest.mark.parametrize("k", [63, 64, 300, 400])
+def test_the_goedel_conversion_divides_only_2n_by_n_bits_and_recurses(monkeypatch, k):
+    # the only shape that bigint.divmod divides recursively: a dividend
+    # below b 2^|b|; any other would fall back to the quadratic builtin
+    m = quasitrivial.build_qt(k, k_max=k).m
+    divide, split = bigint.divmod, bigint._div3n2n
+    calls, recursed = [], []
+
+    def counted_split(*args):
+        recursed.append(True)
+        return split(*args)
+
+    def checked_divide(a, b):
+        assert a >> b.bit_length() < b, (a.bit_length(), b.bit_length())
+        calls.append(b)
+        return divide(a, b)
+    monkeypatch.setattr(bigint, "divmod", checked_divide)
+    monkeypatch.setattr(bigint, "_div3n2n", counted_split)
+    assert machine._to_trits(m) == reference_to_trits(m)
+    assert calls and recursed, (len(calls), len(recursed))
 
 
 def diagonal_points(w):

@@ -170,6 +170,14 @@ def test_a_negative_dimacs_count_exits_two(capsys, tmp_path, text):
     assert rc == 2 and out == "" and "bad DIMACS header" in err
 
 
+def test_a_second_dimacs_header_exits_two(capsys, tmp_path):
+    # the literal 1 fits only the second header, which must not replace the first
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 0 1\n1 0\np cnf 1 1\n")
+    rc, out, err = run_cli(capsys, ["cnf-encode", "--dimacs", str(path)])
+    assert rc == 2 and out == "" and "bad DIMACS header: 'p cnf 1 1'" in err
+
+
 def test_missing_machine_file_exits_two(capsys):
     rc, _, err = run_cli(capsys, ["run", "--machine", "/nonexistent.tm", "--input", "0"])
     assert rc == 2

@@ -507,6 +507,14 @@ def test_machine_file_halt_and_blank_spelling():
     "states 1\n0 0 -> 0 0",              # short line
     "states 1\n0 0 -> 0 0 R\n0 0 -> 0 1 L",  # duplicate key
     "states 1\n1 0 -> 0 0 R",            # state out of range
+    "states 1\n0 _ -> -1 1 R",           # HALT's sentinel as a state
+    "states 1\n+0 0 -> 0 0 R",           # a sign
+    "states 1\n0 0 -> +0 0 R",
+    "states 1\n0_0 0 -> 0 0 R",          # an underscore
+    "states 1\n0 0 -> 0_0 0 R",
+    "states 1\n\u0660 0 -> 0 0 R",       # a digit of another script
+    "states +1\n0 0 -> 0 0 R",           # the same in the header
+    "states 1_0\n0 0 -> 0 0 R",
 ])
 def test_machine_file_rejects_malformed(text):
     with pytest.raises(MachineFormatError):

@@ -81,6 +81,14 @@ def test_cutoff_too_large():
     qt.build_qt(33, k_max=64)  # explicit limit admits it
 
 
+def test_build_qt_refuses_an_input_wider_than_the_brute_force_limit(monkeypatch):
+    # no input below the command line's cutoffs is that wide (the first
+    # code of more than 20 variables is x = 409 061), so lower the limit
+    monkeypatch.setattr(sat, "BRUTE_WIDTH_LIMIT", 0)
+    with pytest.raises(sat.WidthExceededError):
+        qt.build_qt(11)
+
+
 def test_goedel_number_roundtrips(machines):
     q = machines[4]
     assert decode_machine(q.m) == q.table
