@@ -283,7 +283,8 @@ class ResultCache:
     take n or that text), and the file's keys are neither parsed to ints
     on load nor formatted again on save.  The indices of cutoff machines
     run to thousands of digits, and converting one costs time quadratic
-    in its length.
+    in its length.  Each entry is held as one int: z >= 0 when found,
+    -upto when exhausted, the form in which the parser hands it over.
 
     Saving merges: `save` reads the file again and keeps the stronger
     entry per index, so two scans sharing a cache keep each other's
@@ -302,51 +303,51 @@ class ResultCache:
     """
 
     def __init__(self):
-        self._found: dict[str, int] = {}  # decimal key -> least witness z
-        self._exhausted: dict[str, int] = {}  # decimal key -> exhausted bound
+        self._entries: dict[str, int] = {}  # decimal key -> z, or -upto when exhausted
         self._seen: tuple[int, int] | None = None  # digest of the content last read or written
         self._news = False  # whether that content differs from this cache
 
     @classmethod
     def load(cls, path) -> "ResultCache":
         cache = cls()
-        data = _read_bytes(path)
-        if data is not None:
-            cache._absorb(path, data)
+        cache._absorb(path)
         return cache
 
-    def _absorb(self, path, data: bytes) -> None:
-        """Merge every entry of the file content data into this cache, or
-        none when the content is malformed or from other versions, and
-        remember the content."""
-        self._seen = _digest(data)
+    def _absorb(self, path) -> bool:
+        """Merge every entry of the file at path into this cache, or none
+        when its content is malformed or from other versions, and remember
+        the content.  True when the file holds the content last read or
+        written, which is then not parsed again; False when there is no
+        file."""
+        data = _read_bytes(path)
+        if data is None:
+            return False
+        digest = _digest(data)
+        if digest == self._seen:
+            return True
+        self._seen = digest
         try:
-            maps = _parse(data)
+            text = data.decode("utf-8")
+            del data  # hold one copy of the content while it is parsed
+            entries = _parse(text)
         except ValueError as e:
             _warn("ignoring corrupt cache %s: %s", path, e)
-            maps = None
+            entries = None
         else:
-            if maps is None:
+            if entries is None:
                 _warn("cache %s has mismatched versions; starting empty", path)
-        if maps is None:
+        if entries is None:
             self._news = True  # a save must replace the file
-        elif self._found or self._exhausted:
-            found, exhausted = maps
-            for n, z in found.items():
-                self._merge(n, z, 0)
-            for n, upto in exhausted.items():
-                self._merge(n, None, upto)
+        elif self._entries:
+            for n, value in entries.items():
+                self._merge(n, value if value >= 0 else None, -value)
         else:
-            self._found, self._exhausted = maps
+            self._entries = entries
+        return False
 
     def save(self, path) -> None:
-        data = _read_bytes(path)
-        if data is not None and _digest(data) == self._seen:
-            if not self._news:
-                return  # the file already holds exactly this cache
-        elif data is not None:
-            self._absorb(path, data)
-        del data  # hold one copy of the content at a time
+        if self._absorb(path) and not self._news:
+            return  # the file already holds exactly this cache
         content = self._encode()
         # write a sibling file and rename it over the old one, so a crash
         # mid-write leaves the previous cache in place
@@ -368,29 +369,31 @@ class ResultCache:
     def _encode(self) -> bytes:
         """The file content for this cache: what json.dump(data, fh,
         indent=2, sort_keys=True) writes, plus a newline."""
-        entries = ['    "%s": {\n      "status": "found",\n      "z": %d\n    }' % item
-                   for item in self._found.items()]
-        entries += ['    "%s": {\n      "status": "exhausted",\n      "upto": %d\n    }' % item
-                    for item in self._exhausted.items()]
-        if not entries:
+        if not self._entries:
             return "".join((_HEAD, "{}", _TAIL)).encode()
+        entries = [_FOUND % (n, value) if value >= 0 else _EXHAUSTED % (n, -value)
+                   for n, value in self._entries.items()]
         # sorting the entries sorts their keys as strings, "10" before "9":
         # the quote closing a key sorts below every digit
         entries.sort()
-        return "".join((_HEAD, "{\n", ",\n".join(entries), "\n  }", _TAIL)).encode()
+        entries[0] = entries[0][1:]  # no comma before the first entry
+        text = "".join([_HEAD, "{", *entries, "\n  }", _TAIL])
+        del entries  # hold the entries or the bytes, not both
+        return text.encode()
 
     def lookup(self, n: int | str, budget: int) -> CounterexampleResult | None:
-        n = str(n)
-        z = self._found.get(n)
-        if z is not None:
-            return _least_is(z, budget)
-        upto = self._exhausted.get(n)
-        if upto is not None and budget <= upto:
+        value = self._entries.get(str(n))
+        if value is None:
+            return None
+        if value >= 0:
+            return _least_is(value, budget)
+        if budget <= -value:
             return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
         return None
 
     def resume_from(self, n: int | str) -> int:
-        return self._exhausted.get(str(n), 0)
+        value = self._entries.get(str(n), 0)
+        return -value if value < 0 else 0
 
     def record(self, n: int | str, result: CounterexampleResult) -> None:
         self._merge(n, result.z if result.found else None, result.budget)
@@ -402,15 +405,19 @@ class ResultCache:
         exhausted bound wins."""
         n = str(n)
         if z is not None:
-            self._found[n] = z
-            self._exhausted.pop(n, None)
-        elif n not in self._found:
-            self._exhausted[n] = max(self._exhausted.get(n, 0), upto)
+            self._entries[n] = z
+        else:
+            value = self._entries.get(n)
+            if value is None or value < 0:
+                self._entries[n] = min(value or 0, -upto)
 
 
-# the cache file's fixed text around its entries, as json.dump writes it
+# the cache file's fixed text around its entries, and each entry after
+# a comma, as json.dump writes them
 _HEAD = '{\n  "codec_version": %s,\n  "entries": ' % json.dumps(CODEC_VERSION)
 _TAIL = ',\n  "machine_encoding_version": %s\n}\n' % json.dumps(MACHINE_ENCODING_VERSION)
+_FOUND = ',\n    "%s": {\n      "status": "found",\n      "z": %d\n    }'
+_EXHAUSTED = ',\n    "%s": {\n      "status": "exhausted",\n      "upto": %d\n    }'
 
 
 def _read_bytes(path) -> bytes | None:
@@ -436,10 +443,58 @@ def _digest(data: bytes) -> tuple[int, int]:
     return len(data), hash(data)
 
 
-def _parse(data: bytes) -> tuple[dict[str, int], dict[str, int]] | None:
-    """The found and exhausted maps of a cache file's content, or None when
-    it was written under other versions; ValueError when it is malformed."""
-    doc = json.loads(data.decode("utf-8"))
+# the fields of a cache file as `save` writes it
+_FILE_FIELDS = frozenset({"codec_version", "entries", "machine_encoding_version"})
+
+
+def _parse(text: str) -> dict[str, int] | None:
+    """The entries of a cache file's content, each as one int: z when
+    found, -upto when exhausted.  None when it was written under other
+    versions; ValueError when it is malformed.
+
+    The parser turns each well-formed entry into its int as soon as it is
+    read, so that no dict per entry is held.  That is sound only when each
+    int in `entries` came from an entry, which a count shows when `entries`
+    holds nothing but ints under canonical keys and the file no fields but
+    its own.  Any other content is parsed again into plain objects and
+    checked field by field, which names the first fault."""
+    made = 0
+
+    def entry(obj: dict):
+        nonlocal made
+        if len(obj) == 2:
+            status = obj.get("status")
+            if status == "found":
+                z = obj.get("z")
+                if type(z) is int and z >= 0:
+                    made += 1
+                    return z
+            elif status == "exhausted":
+                upto = obj.get("upto")
+                if type(upto) is int and upto >= 1:
+                    made += 1
+                    return -upto
+        return obj
+
+    doc = json.loads(text, object_hook=entry)
+    if (type(doc) is dict and doc.keys() <= _FILE_FIELDS
+            and doc.get("codec_version") == CODEC_VERSION
+            and doc.get("machine_encoding_version") == MACHINE_ENCODING_VERSION
+            and type(doc.get("entries")) is dict and len(doc["entries"]) == made
+            and all(type(value) is int and _is_decimal(key)
+                    for key, value in doc["entries"].items())):
+        return doc["entries"]
+    del doc
+    return _checked(json.loads(text))
+
+
+def _is_decimal(key: str) -> bool:
+    """Whether key is the canonical decimal of a natural."""
+    return key.isascii() and key.isdigit() and (key[0] != "0" or len(key) == 1)
+
+
+def _checked(doc) -> dict[str, int] | None:
+    """The entries of a parsed cache file, as `_parse` gives them."""
     if not isinstance(doc, dict):
         raise ValueError("not a JSON object")
     if (doc.get("codec_version") != CODEC_VERSION
@@ -448,22 +503,20 @@ def _parse(data: bytes) -> tuple[dict[str, int], dict[str, int]] | None:
     entries = doc.get("entries", {})
     if not isinstance(entries, dict):
         raise ValueError("entries is not an object")
-    found: dict[str, int] = {}
-    exhausted: dict[str, int] = {}
     for key, entry in entries.items():
-        if not (key.isascii() and key.isdigit()) or (key[0] == "0" and len(key) > 1):
+        if not _is_decimal(key):
             raise ValueError(f"key {key!r} is not the decimal of a natural")
         status = entry.get("status") if isinstance(entry, dict) else None
         if status == "found":
             z = entry.get("z")
             if type(z) is not int or z < 0:  # bool is an int subclass
                 raise ValueError(f"entry {key}: z {z!r} is not a natural")
-            found[key] = z
+            entries[key] = z
         elif status == "exhausted":
             upto = entry.get("upto")
             if type(upto) is not int or upto < 1:
                 raise ValueError(f"entry {key}: upto {upto!r} is not a positive integer")
-            exhausted[key] = upto
+            entries[key] = -upto
         else:
             raise ValueError(f"entry {key} has no status found or exhausted")
-    return found, exhausted
+    return entries

@@ -10,10 +10,12 @@ runs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 from .codec import (
     CODEC_VERSION,
@@ -31,6 +33,7 @@ from .machine import (
     MachineFormatError,
     format_machine_file,
     parse_machine_file,
+    parse_natural,
     run,
     run_clocked,
 )
@@ -49,11 +52,12 @@ class UsageError(Exception):
 
 
 def _natural(text: str) -> int:
+    negative = text.startswith("-")
     try:
-        value = int(text)
+        value = parse_natural(text[1:] if negative else text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a natural in decimal digits: {text!r}") from None
+    if negative:
         raise argparse.ArgumentTypeError(f"expected a natural number: {text}")
     return value
 
@@ -82,11 +86,11 @@ def _parse_range(text: str, limit: int) -> list[int]:
         part = part.strip()
         lo_raw, dots, hi_raw = part.partition("..")
         try:
-            lo = int(lo_raw)
-            hi = int(hi_raw) if dots else lo
+            lo = parse_natural(lo_raw)
+            hi = parse_natural(hi_raw) if dots else lo
         except ValueError:
             raise UsageError(f"bad range {part!r}") from None
-        if lo < 0 or hi < lo:
+        if hi < lo:
             raise UsageError(f"bad range {part!r}")
         if hi > limit:
             raise UsageError(f"cutoff {hi} exceeds the limit {limit}")
@@ -149,34 +153,95 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _emit_report(report: dict, rows: list[dict], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if rows:
-            keys = sorted(rows[0])
-            writer.writerow(keys)
-            for row in rows:
-                writer.writerow([row[k] for k in keys])
-        text = buf.getvalue()
-    else:  # table
-        lines = []
-        if rows:
-            keys = sorted(rows[0])
-            widths = [max(len(k), *(len(str(r[k])) for r in rows)) for k in keys]
-            lines.append("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
-            for row in rows:
-                lines.append("  ".join(str(row[k]).ljust(w) for k, w in zip(keys, widths)))
-        text = "\n".join(lines) + "\n"
+# characters a report collects before it writes them out: one write per
+# row costs about twice the time on a pipe
+_FLUSH_AT = 1 << 16
+
+
+def _write_output(out: str | None, fill: Callable[[TextIO], None]) -> None:
+    """Call fill with stdout when out is None; else with a sibling file of
+    out that replaces out once fill returns, so out appears only whole.
+    An error names out, not the sibling."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fill(sys.stdout)
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fill(fh)
+        os.replace(tmp, out)
+    except OSError as e:
+        if e.filename != tmp:
+            raise
+        raise OSError(e.errno, e.strerror, out) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _write_report(report: dict, fmt: str, out: str | None) -> None:
+    """Write report in fmt to out, or to stdout when out is None.
+
+    report["rows"] is an iterable of flat dicts, each value a number, a
+    string, a boolean or null, all with the same keys.  json and csv write
+    each row as it comes; json gives the bytes of
+    `json.dumps(report, indent=2, sort_keys=True)` and a newline, and reads
+    the values of keys sorting after "rows" only once the rows are spent,
+    so the rows may fill in the summary.  table needs every row for its
+    column widths, so it writes once the rows are spent."""
+    def fill(fh: TextIO) -> None:
+        buf = io.StringIO()
+
+        def spill() -> None:
+            fh.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+
+        if fmt == "json":
+            encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+            # a flat row's fields, one a line, as indent=2 places them at
+            # depth 2; this encoder runs in C, where one with an indent
+            # builds Python closures in reference cycles on every call
+            fields = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+            sep = "{\n  "
+            for key in sorted(report):
+                buf.write(f"{sep}{encode(key)}: ")
+                sep = ",\n  "
+                if key != "rows":
+                    buf.write(encode(report[key]).replace("\n", "\n  "))
+                    continue
+                row_sep = "[\n    "
+                for row in report["rows"]:
+                    buf.write(f"{row_sep}{{\n      {fields(row)[1:-1]}\n    }}")
+                    row_sep = ",\n    "
+                    if buf.tell() >= _FLUSH_AT:
+                        spill()
+                buf.write("[]" if row_sep == "[\n    " else "\n  ]")
+            buf.write("\n}\n")
+        elif fmt == "csv":
+            import csv
+            writer = csv.writer(buf, lineterminator="\n")
+            keys = None
+            for row in report["rows"]:
+                if keys is None:
+                    keys = sorted(row)
+                    writer.writerow(keys)
+                writer.writerow([row[k] for k in keys])
+                if buf.tell() >= _FLUSH_AT:
+                    spill()
+        else:  # table
+            rows = list(report["rows"])
+            lines = []
+            if rows:
+                keys = sorted(rows[0])
+                widths = [max(len(k), *(len(str(r[k])) for r in rows)) for k in keys]
+                lines.append("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
+                for row in rows:
+                    lines.append("  ".join(str(row[k]).ljust(w) for k, w in zip(keys, widths)))
+            buf.write("\n".join(lines) + "\n")
+        spill()
+
+    _write_output(out, fill)
 
 
 def _load_cache(args, cfg: Config) -> tuple[bgs.ResultCache | None, str | None]:
@@ -348,26 +413,27 @@ def cmd_bgs_scan(args, cfg):
         raise UsageError("--to must be >= --from")
     cache, cache_path = _load_cache(args, cfg)
     budget = args.budget if args.budget is not None else cfg.budget_default
-    rows = []
-    found = 0
-    for n in range(args.start, args.to + 1):
-        index = bgs.BgsIndex.from_natural(n)
-        begin = time.monotonic() if args.timings else 0.0
-        result = bgs.counterexample(index, budget, cache)
-        row = _counterexample_row(index, result)
-        if args.timings:
-            row["millis"] = int((time.monotonic() - begin) * 1000)
-        rows.append(row)
-        found += 1 if result.found else 0
-    if cache is not None:
-        cache.save(cache_path)
-    report = {
-        "budget": budget,
-        "rows": rows,
-        "summary": {"found": found, "exhausted": len(rows) - found},
-    }
+    summary: dict[str, int] = {}
+
+    def rows() -> Iterator[dict]:
+        found = 0
+        for n in range(args.start, args.to + 1):
+            index = bgs.BgsIndex.from_natural(n)
+            begin = time.monotonic() if args.timings else 0.0
+            result = bgs.counterexample(index, budget, cache)
+            row = _counterexample_row(index, result)
+            if args.timings:
+                row["millis"] = int((time.monotonic() - begin) * 1000)
+            found += 1 if result.found else 0
+            yield row
+        # before the report's summary is written or its --out file appears
+        if cache is not None:
+            cache.save(cache_path)
+        summary.update(found=found, exhausted=args.to + 1 - args.start - found)
+
+    report = {"budget": budget, "rows": rows(), "summary": summary}
     report.update(VERSION_TAGS)
-    _emit_report(report, rows, args.format or cfg.output_format, args.out)
+    _write_report(report, args.format or cfg.output_format, args.out)
     return 0
 
 
@@ -375,11 +441,8 @@ def cmd_qt_build(args, cfg):
     from . import quasitrivial
     q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
     text = format_machine_file(q.table)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_output(args.out, lambda fh: fh.write(text))
+    if args.out is not None:
         summary = {
             "k": q.k,
             "m": q.m,
@@ -425,7 +488,7 @@ def cmd_qt_verify(args, cfg):
         "summary": {"passed": len(checks) - len(failures), "failed": len(failures)},
     }
     report.update(VERSION_TAGS)
-    _emit_report(report, rows, args.format or cfg.output_format, args.out)
+    _write_report(report, args.format or cfg.output_format, args.out)
     if failures:
         for row in failures:
             print(f"cutoff {row.k}: z={row.z} zPred={row.z_pred} "

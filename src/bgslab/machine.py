@@ -454,20 +454,23 @@ class MachineFormatError(ValueError):
     pass
 
 
-def _parse_state(text: str) -> int:
-    # int() alone would also read signs (HALT's -1), underscores and other digits
+def parse_natural(text: str) -> int:
+    """The natural that text spells in ASCII decimal digits; ValueError for
+    any other text.  int() alone would also read signs (HALT's -1),
+    underscores, surrounding whitespace and other scripts' digits."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"bad state {text!r}")
+        raise ValueError(f"not a natural in decimal digits: {text!r}")
     return int(text)
 
 
 def parse_machine_file(text: str) -> TransitionTable:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("states"):
-        raise MachineFormatError("first line must be 'states N'")
     try:
-        state_count = _parse_state(lines[0].split()[1])
+        keyword, count = lines[0].split()  # exactly two tokens
+        if keyword != "states":
+            raise ValueError(keyword)
+        state_count = parse_natural(count)
     except (IndexError, ValueError):
         raise MachineFormatError("first line must be 'states N'") from None
     transitions: dict[tuple[int, int], Transition] = {}
@@ -481,8 +484,8 @@ def parse_machine_file(text: str) -> TransitionTable:
         if move not in (MOVE_L, MOVE_R):
             raise MachineFormatError(f"bad move in line: {ln!r}")
         try:
-            q = _parse_state(q_raw)
-            nq = HALT if nq_raw == "HALT" else _parse_state(nq_raw)
+            q = parse_natural(q_raw)
+            nq = HALT if nq_raw == "HALT" else parse_natural(nq_raw)
         except ValueError:
             raise MachineFormatError(f"bad state in line: {ln!r}") from None
         key = (q, _SYMBOL_CHARS[sym_raw])

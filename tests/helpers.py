@@ -1,10 +1,12 @@
 """Hand-built machines shared across test modules, and the literal
 definitions that the program's fast paths replace."""
 
+import csv
 import io
 import itertools
 import json
 import random
+import sys
 from math import isqrt
 
 from bgslab import quasitrivial, sat
@@ -286,11 +288,9 @@ def reference_counterexample(index: BgsIndex, budget: int) -> CounterexampleResu
 def reference_cache_bytes(cache: ResultCache) -> bytes:
     """The cache file content that `ResultCache.save` writes for cache, as
     json.dump with indent 2 and sorted keys, plus a newline."""
-    entries: dict[str, dict] = {}
-    for n, z in sorted(cache._found.items()):
-        entries[str(n)] = {"status": "found", "z": z}
-    for n, upto in sorted(cache._exhausted.items()):
-        entries.setdefault(str(n), {"status": "exhausted", "upto": upto})
+    entries = {n: {"status": "found", "z": value} if value >= 0
+               else {"status": "exhausted", "upto": -value}
+               for n, value in cache._entries.items()}
     data = {
         "codec_version": CODEC_VERSION,
         "machine_encoding_version": MACHINE_ENCODING_VERSION,
@@ -314,3 +314,66 @@ def reference_load(path) -> ResultCache:
         else:
             cache._merge(int(key), None, int(entry["upto"]))
     return cache
+
+
+def reference_parse(data: bytes) -> tuple[dict[str, int], dict[str, int]] | None:
+    """The dict-per-entry parse that `bgs._parse` replaces: the found and
+    exhausted maps of a cache file's content, or None when it was written
+    under other versions; ValueError when it is malformed."""
+    doc = json.loads(data.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    if (doc.get("codec_version") != CODEC_VERSION
+            or doc.get("machine_encoding_version") != MACHINE_ENCODING_VERSION):
+        return None
+    entries = doc.get("entries", {})
+    if not isinstance(entries, dict):
+        raise ValueError("entries is not an object")
+    found: dict[str, int] = {}
+    exhausted: dict[str, int] = {}
+    for key, entry in entries.items():
+        if not (key.isascii() and key.isdigit()) or (key[0] == "0" and len(key) > 1):
+            raise ValueError(f"key {key!r} is not the decimal of a natural")
+        status = entry.get("status") if isinstance(entry, dict) else None
+        if status == "found":
+            z = entry.get("z")
+            if type(z) is not int or z < 0:  # bool is an int subclass
+                raise ValueError(f"entry {key}: z {z!r} is not a natural")
+            found[key] = z
+        elif status == "exhausted":
+            upto = entry.get("upto")
+            if type(upto) is not int or upto < 1:
+                raise ValueError(f"entry {key}: upto {upto!r} is not a positive integer")
+            exhausted[key] = upto
+        else:
+            raise ValueError(f"entry {key} has no status found or exhausted")
+    return found, exhausted
+
+
+def reference_emit_report(report: dict, rows: list[dict], fmt: str, out: str | None) -> None:
+    """The whole-text report writer that `cli._write_report` replaces."""
+    if fmt == "json":
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if rows:
+            keys = sorted(rows[0])
+            writer.writerow(keys)
+            for row in rows:
+                writer.writerow([row[k] for k in keys])
+        text = buf.getvalue()
+    else:  # table
+        lines = []
+        if rows:
+            keys = sorted(rows[0])
+            widths = [max(len(k), *(len(str(r[k])) for r in rows)) for k in keys]
+            lines.append("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
+            for row in rows:
+                lines.append("  ".join(str(row[k]).ljust(w) for k, w in zip(keys, widths)))
+        text = "\n".join(lines) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)

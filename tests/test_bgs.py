@@ -19,7 +19,7 @@ from bgslab.machine import (BLANK, HALT, MOVE_R, NULL_MACHINE, ClockSpec, Transi
 
 from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN, g_star,
                      not_g, random_table, reference_cache_bytes, reference_counterexample,
-                     reference_load, reference_triple_decode)
+                     reference_load, reference_parse, reference_triple_decode)
 
 
 def index_for(table, a=1, b=2) -> bgs.BgsIndex:
@@ -895,8 +895,133 @@ def test_loads_equal_the_entry_by_entry_merge(cache, indent, rng):
                                     "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION,
                                     "entries": dict(items)}, indent=indent))
         loaded, reference = bgs.ResultCache.load(path), reference_load(path)
-    assert (loaded._found, loaded._exhausted) == (reference._found, reference._exhausted)
-    assert (loaded._found, loaded._exhausted) == (cache._found, cache._exhausted)
+    assert loaded._entries == reference._entries == cache._entries
+
+
+def parsed_or_rejected(parse, content: bytes):
+    """What parse makes of a cache file's content, as the found and
+    exhausted maps, None for other versions, or the reason it is rejected."""
+    try:
+        return parse(content)
+    except ValueError as e:
+        return f"rejected: {e}"
+
+
+def split(entries: dict[str, int] | None):
+    """The found and exhausted maps of `bgs._parse`'s one-int entries."""
+    if not isinstance(entries, dict):
+        return entries
+    return ({n: value for n, value in entries.items() if value >= 0},
+            {n: -value for n, value in entries.items() if value < 0})
+
+
+def assert_parses_as_the_reference(text: str):
+    content = text.encode("utf-8")
+    want = parsed_or_rejected(reference_parse, content)
+    got = parsed_or_rejected(lambda data: split(bgs._parse(data.decode("utf-8"))), content)
+    assert got == want
+
+
+def test_the_golden_cache_parses_as_the_reference():
+    golden = Path(__file__).parent / "golden" / "cache_scan_15_18.json"
+    text = golden.read_text(encoding="utf-8")
+    assert_parses_as_the_reference(text)
+    assert split(bgs._parse(text))[0]  # it holds found entries
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(caches(), st.sampled_from([None, 2]))
+def test_written_and_compact_caches_parse_as_the_reference(cache, indent):
+    doc = json.loads(reference_cache_bytes(cache))
+    assert_parses_as_the_reference(json.dumps(doc, indent=indent))
+    assert_parses_as_the_reference(json.dumps(doc, separators=(",", ":")))
+
+
+# values that are not naturals where an entry needs one
+odd_numbers = st.one_of(st.booleans(), st.floats(allow_nan=False), st.integers(-3, 3),
+                        st.text(max_size=3), st.none(), st.lists(st.integers(0, 3), max_size=2))
+
+
+def odd_values(depth: int):
+    nested = st.deferred(lambda: file_entries(depth + 1))
+    return st.one_of(odd_numbers, nested) if depth < 2 else odd_numbers
+
+
+@st.composite
+def file_entries(draw, depth=0):
+    """An entry, mostly well formed, at times with extra keys, which a
+    well-formed entry may carry; else odd: another or no status, a z or
+    upto that is no natural (a bool, a float, 0, negative, a string,
+    another entry), no such field, or no object at all."""
+    status = draw(st.sampled_from(["found", "exhausted"]))
+    field = "z" if status == "found" else "upto"
+    entry = {"status": status, field: draw(naturals) + (status == "exhausted")}
+    if draw(st.integers(0, 3)) == 2:
+        entry.update(draw(st.dictionaries(st.sampled_from(["note", "z", "upto"]),
+                                          odd_values(depth), max_size=2)))
+    odd = draw(st.integers(0, 15))
+    if odd == 5:
+        entry["status"] = draw(st.sampled_from(["maybe", None, 1]))
+    elif odd == 6:
+        del entry["status"]
+    elif odd == 7:
+        entry[field] = draw(odd_values(depth))
+    elif odd == 8:
+        del entry[field]
+    elif odd == 9:
+        return draw(odd_numbers)
+    return entry
+
+
+keys = st.one_of(naturals.map(str), naturals.map(str), naturals.map(str),
+                 st.sampled_from(["010", "-2", "+2", " 2", "", "\u0662"]))
+
+
+@st.composite
+def odd_cache_files(draw):
+    """A cache file's content: entries mostly well formed, at times another
+    version, keys that are not canonical decimals, extra keys, or the
+    file's object or `entries` itself holding an entry's fields."""
+    entries = draw(st.dictionaries(keys, file_entries(), min_size=1, max_size=5))
+    # a middle value, since Hypothesis draws bounds more often than the rest
+    if draw(st.integers(0, 9)) == 5:
+        entries = draw(st.one_of(file_entries(depth=1), odd_numbers))
+    doc = {"codec_version": codec.CODEC_VERSION,
+           "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION,
+           "entries": entries}
+    if draw(st.integers(0, 7)) == 5:
+        doc["codec_version"] = draw(st.one_of(st.just("other"), odd_values(1)))
+    if draw(st.integers(0, 3)) == 2:
+        doc.update(draw(st.dictionaries(st.sampled_from(["note", "status", "z"]),
+                                        odd_values(1), max_size=2)))
+    if draw(st.integers(0, 9)) == 5:
+        doc = draw(st.one_of(file_entries(depth=1), odd_numbers))
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 2])),
+                      sort_keys=draw(st.booleans()))
+
+
+FOUND_1 = {"status": "found", "z": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    {"entries": {"7": 5}, "note": FOUND_1},             # a bare int, and an entry elsewhere
+    {"entries": {"7": 5, "8": {**FOUND_1, "note": FOUND_1}}},
+    {"entries": {"7": [FOUND_1]}},                       # an entry inside a list
+    {"entries": {"7": {"status": "found", "z": FOUND_1}}},  # an entry as z
+    {"entries": FOUND_1},                                # entries is itself entry-shaped
+    {"entries": {"7": {**FOUND_1, "note": 2}}},          # an extra field, which is allowed
+], ids=["bare-int", "bare-int-and-nested", "in-a-list", "as-z", "entries", "extra-field"])
+def test_files_that_hide_an_int_parse_as_the_reference(doc):
+    versions = {"codec_version": codec.CODEC_VERSION,
+                "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION}
+    assert_parses_as_the_reference(json.dumps({**versions, **doc}))
+    assert_parses_as_the_reference(json.dumps(FOUND_1))  # the file's object
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(odd_cache_files())
+def test_odd_caches_parse_as_the_reference(text):
+    assert_parses_as_the_reference(text)
 
 
 def test_cold_and_warm_results_are_identical(tmp_path):

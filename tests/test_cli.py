@@ -1,14 +1,19 @@
 """Integration tests: every subcommand once, against golden output files."""
 
+import itertools
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import bgslab
 from bgslab import cli, quasitrivial
 from bgslab.config import Config, load_config
+
+from helpers import reference_emit_report
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -183,6 +188,42 @@ def test_missing_machine_file_exits_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("header", ["statesman 1", "states 1 junk"])
+def test_a_machine_file_header_other_than_states_n_exits_two(capsys, tmp_path, header):
+    machine = tmp_path / "m.tm"
+    machine.write_text(f"{header}\n0 _ -> HALT 1 R\n")
+    rc, out, err = run_cli(capsys, ["run", "--machine", str(machine), "--input", "0"])
+    assert (rc, out) == (2, "")
+    assert err == "bgslab: bad machine file: first line must be 'states N'\n"
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["pair", "1_0", "1"], "1_0"),          # an underscore
+    (["pair", "1", "+1"], "+1"),            # a sign
+    (["pair", " 1", "1"], " 1"),            # whitespace
+    (["unpair", "\u0663"], "\u0663"),       # a digit of another script
+], ids=["underscore", "plus", "space", "arabic-indic"])
+def test_a_natural_is_spelled_in_ascii_decimal_digits(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"not a natural in decimal digits: {value!r}" in capsys.readouterr().err
+
+
+def test_a_negative_natural_keeps_its_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["unpair", "-3"])
+    assert exc.value.code == 2
+    assert "expected a natural number: -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoffs", ["1_0", "+1", "0..1_0", "\u0661", "-1..2"])
+def test_a_cutoff_range_is_spelled_in_ascii_decimal_digits(capsys, cutoffs):
+    rc, out, err = run_cli(capsys, ["qt", "verify", f"--cutoffs={cutoffs}"])
+    assert (rc, out) == (2, "")
+    assert err == f"bgslab: bad range {cutoffs!r}\n"
+
+
 def test_cutoff_range_is_bounded_before_expansion(capsys):
     rc, out, err = run_cli(capsys, ["qt", "verify", "--cutoffs", f"0..{10**30}"])
     assert rc == 2 and out == ""
@@ -295,6 +336,80 @@ def test_timings_flag_adds_millis(capsys):
                                   "--budget", "100", "--timings"])
     assert rc == 0
     assert all("millis" in row for row in json.loads(out)["rows"])
+
+
+REPORTS = {
+    "scan": ["bgs", "scan", "--from", "15", "--to", "60", "--budget", "150"],
+    "scan-timings": ["bgs", "scan", "--from", "15", "--to", "60", "--budget", "150",
+                     "--timings"],
+    "verify": ["qt", "verify", "--cutoffs", "0..3,7"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_a_report_equals_the_reference_writer(capsys, tmp_path, monkeypatch, name, fmt,
+                                               to_file):
+    def run(argv):
+        # a clock whose steps grow, so that rows differ in millis and in width
+        ticks = itertools.accumulate(i * 0.0031 for i in itertools.count())
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks))
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, err) == (0, "")
+        return out
+
+    argv = REPORTS[name]
+    report = json.loads(run(argv + ["--format", "json"]))
+    if name == "scan-timings":
+        assert len({row["millis"] for row in report["rows"]}) > 10
+    reference = tmp_path / "reference"
+    reference_emit_report(report, report["rows"], fmt, str(reference))
+    report_file = tmp_path / "report"
+    printed = run(argv + ["--format", fmt] + (["--out", str(report_file)] if to_file else []))
+    if to_file:
+        assert printed == ""
+        assert report_file.read_bytes() == reference.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reference", "report"]
+    else:
+        assert printed.encode() == reference.read_bytes()
+
+
+def test_a_failed_cache_save_leaves_no_report_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, ["bgs", "scan", "--from", "15", "--to", "18", "--budget",
+                                    "120", "--cache", "nodir/c.json", "--out", "o.csv"])
+    assert (rc, out) == (2, "")
+    assert err == "bgslab: [Errno 2] No such file or directory: 'nodir/c.json'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# the peak resident set of `python -m bgslab`, printed to stderr in KiB
+PEAK_RSS = """import resource, runpy, sys
+sys.argv[0] = "bgslab"
+try:
+    runpy.run_module("bgslab", run_name="__main__")
+except SystemExit as e:
+    assert e.code in (0, None), e.code
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def scan_peak_kib(rows: int) -> int:
+    pytest.importorskip("resource")
+    src = str(pathlib.Path(bgslab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, "bgs", "scan", "--from", "0", "--to", str(rows - 1),
+         "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, timeout=100, check=True)
+    peak = int(proc.stderr.split()[-1])
+    return peak // 1024 if sys.platform == "darwin" else peak  # macOS counts bytes
+
+
+def test_a_scan_runs_in_memory_independent_of_its_length():
+    # keeping every row took about 0.45 KiB a row: 130 MB more at 300 000 rows
+    assert scan_peak_kib(300_000) - scan_peak_kib(3_000) < 8 * 1024
 
 
 # --- config ------------------------------------------------------------------

@@ -515,6 +515,8 @@ def test_machine_file_halt_and_blank_spelling():
     "states 1\n\u0660 0 -> 0 0 R",       # a digit of another script
     "states +1\n0 0 -> 0 0 R",           # the same in the header
     "states 1_0\n0 0 -> 0 0 R",
+    "statesman 1\n0 _ -> HALT 1 R",     # a longer keyword
+    "states 1 junk\n0 _ -> HALT 1 R",   # a third token
 ])
 def test_machine_file_rejects_malformed(text):
     with pytest.raises(MachineFormatError):
