@@ -63,9 +63,10 @@ import enum
 import heapq
 import json
 import os
+import sys
 from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import sat
 from .codec import CODEC_VERSION, decode_cnf, pair, triple_decode
@@ -289,17 +290,14 @@ class ResultCache:
     Saving merges: `save` reads the file again and keeps the stronger
     entry per index, so two scans sharing a cache keep each other's
     entries.  There is no lock: an entry saved by another process between
-    this save's read and its os.replace is lost.
+    this save's read and its rename (in `write_text`) is lost.
 
     A command touches the file only as much as it changes it.  The cache
-    remembers a digest of the file content it last read or wrote: its
-    length and its 64-bit keyed hash, so a changed file goes unseen with
-    probability about 2^-64.  `save` parses the file only when its content
-    differs from that, so each content is parsed once, and writes nothing
-    when it does not and no `record` came since, because the file then
-    already holds exactly this cache.  The writer builds the bytes of
-    `json.dump(data, fh, indent=2, sort_keys=True)` plus a newline
-    directly.
+    remembers the `_digest` of the file content it last read or wrote, so
+    a changed file goes unseen with probability about 2^-64.  `save`
+    parses the file only when its content differs from that, so each
+    content is parsed once, and writes nothing when it does not and no
+    `record` came since, because the file then holds exactly this cache.
     """
 
     def __init__(self):
@@ -319,8 +317,13 @@ class ResultCache:
         the content.  True when the file holds the content last read or
         written, which is then not parsed again; False when there is no
         file."""
-        data = _read_bytes(path)
-        if data is None:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return False
+        except OSError as e:  # unreadable, which a save then replaces
+            _warn("ignoring corrupt cache %s: %s", path, e)
             return False
         digest = _digest(data)
         if digest == self._seen:
@@ -348,38 +351,20 @@ class ResultCache:
     def save(self, path) -> None:
         if self._absorb(path) and not self._news:
             return  # the file already holds exactly this cache
-        content = self._encode()
-        # write a sibling file and rename it over the old one, so a crash
-        # mid-write leaves the previous cache in place
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(content)
-            os.replace(tmp, path)
-        except OSError as e:
-            if e.filename != tmp:
-                raise
-            # name the path the caller gave, not its sibling
-            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        self._seen, self._news = _digest(content), False
+        self._seen, self._news = write_text(path, self._write), False
 
-    def _encode(self) -> bytes:
-        """The file content for this cache: what json.dump(data, fh,
-        indent=2, sort_keys=True) writes, plus a newline."""
-        if not self._entries:
-            return "".join((_HEAD, "{}", _TAIL)).encode()
-        entries = [_FOUND % (n, value) if value >= 0 else _EXHAUSTED % (n, -value)
-                   for n, value in self._entries.items()]
-        # sorting the entries sorts their keys as strings, "10" before "9":
-        # the quote closing a key sorts below every digit
-        entries.sort()
-        entries[0] = entries[0][1:]  # no comma before the first entry
-        text = "".join([_HEAD, "{", *entries, "\n  }", _TAIL])
-        del entries  # hold the entries or the bytes, not both
-        return text.encode()
+    def _write(self, out: _Buffer) -> None:
+        """Write the file as json.dump(data, fh, indent=2, sort_keys=True)
+        and a newline, formatting a batch of entries at a time."""
+        entries, keys = self._entries, sorted(self._entries)  # as strings: "10" before "9"
+        out.write(_HEAD)
+        for i in range(0, len(keys), _BATCH):
+            out.write(("," if i else "") + ",".join([
+                f'\n    "{n}": {{\n      "status": "found",\n      "z": {v}\n    }}'
+                if (v := entries[n]) >= 0 else
+                f'\n    "{n}": {{\n      "status": "exhausted",\n      "upto": {-v}\n    }}'
+                for n in keys[i:i + _BATCH]]))
+        out.write(("\n  }" if keys else "}") + _TAIL)
 
     def lookup(self, n: int | str, budget: int) -> CounterexampleResult | None:
         value = self._entries.get(str(n))
@@ -412,25 +397,80 @@ class ResultCache:
                 self._entries[n] = min(value or 0, -upto)
 
 
-# the cache file's fixed text around its entries, and each entry after
-# a comma, as json.dump writes them
-_HEAD = '{\n  "codec_version": %s,\n  "entries": ' % json.dumps(CODEC_VERSION)
+# the cache file's fixed text around its entries, as json.dump writes it
+_HEAD = '{\n  "codec_version": %s,\n  "entries": {' % json.dumps(CODEC_VERSION)
 _TAIL = ',\n  "machine_encoding_version": %s\n}\n' % json.dumps(MACHINE_ENCODING_VERSION)
-_FOUND = ',\n    "%s": {\n      "status": "found",\n      "z": %d\n    }'
-_EXHAUSTED = ',\n    "%s": {\n      "status": "exhausted",\n      "upto": %d\n    }'
+_BATCH = 256  # entries formatted at a time, about 19 KB of the file
+
+# the characters the writer collects before it writes them out (a write per
+# row takes twice the time on a pipe), and the bytes of a piece of _digest
+_PIECE = 1 << 16
 
 
-def _read_bytes(path) -> bytes | None:
-    """The content of the cache file at path; None when there is none or
-    it cannot be read, which is logged."""
+class _Buffer:
+    """Text collected and handed to spill once it reaches _PIECE characters."""
+
+    def __init__(self, spill: Callable[[str], object]):
+        self.spill, self.parts, self.size = spill, [], 0
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= _PIECE:
+            self.flush()
+
+    def flush(self) -> None:
+        text, self.parts, self.size = "".join(self.parts), [], 0
+        self.spill(text)
+
+
+def write_text(path, fill: Callable[[_Buffer], None]) -> tuple[int, int] | None:
+    """Call fill with a buffer whose `write` takes text, and write that
+    text to stdout when path is None, else to the file at path: through a
+    sibling <path>.<pid>.tmp, synced to disk and renamed over path, then on
+    POSIX the directory synced, so that path holds its old or its whole new
+    content even across a crash.  An error of the writer names path and
+    leaves no sibling.  Returns the `_digest` of the content of a file."""
+    if path is None:
+        fill(out := _Buffer(sys.stdout.write))
+        return out.flush()
+    tmp, folder = f"{path}.{os.getpid()}.tmp", os.path.dirname(path) or "."
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        return None
+        with open(tmp, "wb") as fh:
+            rest, hashes = bytearray(), []
+
+            def spill(text: str) -> None:
+                # whole pieces out, each hashed as _digest hashes the file
+                rest.extend(text.encode())
+                end = len(rest) - len(rest) % _PIECE
+                for i in range(0, end, _PIECE):
+                    hashes.append(hash(piece := bytes(memoryview(rest)[i:i + _PIECE])))
+                    fh.write(piece)
+                del rest[:end]
+
+            fill(out := _Buffer(spill))
+            out.flush()
+            if rest:
+                hashes.append(hash(piece := bytes(rest)))
+                fh.write(piece)
+            fh.flush()
+            os.fsync(fh.fileno())
+            digest = fh.tell(), hash(tuple(hashes))
+        os.replace(tmp, path)
+        if os.name == "posix" and hasattr(os, "O_DIRECTORY"):
+            fd = os.open(folder, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     except OSError as e:
-        _warn("ignoring corrupt cache %s: %s", path, e)
-        return None
+        if e.filename not in (None, tmp, folder):
+            raise  # another file's error, raised by fill
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return digest
 
 
 def _warn(message: str, *args) -> None:
@@ -440,7 +480,8 @@ def _warn(message: str, *args) -> None:
 
 
 def _digest(data: bytes) -> tuple[int, int]:
-    return len(data), hash(data)
+    """The length of a content and a hash of the hashes of its _PIECE-byte pieces."""
+    return len(data), hash(tuple(hash(data[i:i + _PIECE]) for i in range(0, len(data), _PIECE)))
 
 
 # the fields of a cache file as `save` writes it

@@ -10,12 +10,10 @@ runs.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator
 
 from .codec import (
     CODEC_VERSION,
@@ -32,6 +30,7 @@ from .machine import (
     ClockSpec,
     MachineFormatError,
     format_machine_file,
+    parse_integer,
     parse_machine_file,
     parse_natural,
     run,
@@ -52,12 +51,11 @@ class UsageError(Exception):
 
 
 def _natural(text: str) -> int:
-    negative = text.startswith("-")
     try:
-        value = parse_natural(text[1:] if negative else text)
+        value = parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a natural in decimal digits: {text!r}") from None
-    if negative:
+    if text.startswith("-"):
         raise argparse.ArgumentTypeError(f"expected a natural number: {text}")
     return value
 
@@ -71,7 +69,7 @@ def _positive(text: str) -> int:
 
 def _parse_clock(text: str) -> ClockSpec:
     try:
-        a, b = (int(part) for part in text.split(","))
+        a, b = (parse_integer(part) for part in text.split(","))
         return ClockSpec(a, b)
     except ValueError as e:
         raise argparse.ArgumentTypeError(
@@ -111,22 +109,19 @@ def parse_dimacs(text: str) -> list[list[int]]:
             if header is not None or len(parts) != 4 or parts[1] != "cnf":
                 raise UsageError(f"bad DIMACS header: {line!r}")
             try:
-                header = (int(parts[2]), int(parts[3]))
+                header = (parse_natural(parts[2]), parse_natural(parts[3]))
             except ValueError:
                 raise UsageError(f"bad DIMACS header: {line!r}") from None
-            if min(header) < 0:
-                raise UsageError(f"bad DIMACS header: {line!r}")
             continue
         if header is None:
             raise UsageError("DIMACS clause before 'p cnf' header")
         try:
-            tokens = [int(t) for t in line.split()]
+            tokens = [parse_integer(t) for t in line.split()]
         except ValueError:
             raise UsageError(f"bad DIMACS clause line: {line!r}") from None
         if not tokens or tokens[-1] != 0 or 0 in tokens[:-1]:
             raise UsageError(f"DIMACS clause must be terminated by a single 0: {line!r}")
-        lits = tokens[:-1]
-        clauses.append(lits)
+        clauses.append(tokens[:-1])
     if header is None:
         raise UsageError("missing DIMACS header")
     var_limit, clause_count = header
@@ -153,50 +148,17 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-# characters a report collects before it writes them out: one write per
-# row costs about twice the time on a pipe
-_FLUSH_AT = 1 << 16
-
-
-def _write_output(out: str | None, fill: Callable[[TextIO], None]) -> None:
-    """Call fill with stdout when out is None; else with a sibling file of
-    out that replaces out once fill returns, so out appears only whole.
-    An error names out, not the sibling."""
-    if out is None:
-        fill(sys.stdout)
-        return
-    tmp = f"{out}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fill(fh)
-        os.replace(tmp, out)
-    except OSError as e:
-        if e.filename != tmp:
-            raise
-        raise OSError(e.errno, e.strerror, out) from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _write_report(report: dict, fmt: str, out: str | None) -> None:
     """Write report in fmt to out, or to stdout when out is None.
 
     report["rows"] is an iterable of flat dicts, each value a number, a
     string, a boolean or null, all with the same keys.  json and csv write
-    each row as it comes; json gives the bytes of
-    `json.dumps(report, indent=2, sort_keys=True)` and a newline, and reads
-    the values of keys sorting after "rows" only once the rows are spent,
-    so the rows may fill in the summary.  table needs every row for its
-    column widths, so it writes once the rows are spent."""
-    def fill(fh: TextIO) -> None:
-        buf = io.StringIO()
+    each row as it comes, json as `json.dumps(report, indent=2,
+    sort_keys=True)` and a newline, reading the keys after "rows" last, so
+    rows may fill in the summary; table's widths need every row first."""
+    from .bgs import write_text
 
-        def spill() -> None:
-            fh.write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
-
+    def fill(fh) -> None:
         if fmt == "json":
             encode = json.JSONEncoder(indent=2, sort_keys=True).encode
             # a flat row's fields, one a line, as indent=2 places them at
@@ -205,30 +167,26 @@ def _write_report(report: dict, fmt: str, out: str | None) -> None:
             fields = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
             sep = "{\n  "
             for key in sorted(report):
-                buf.write(f"{sep}{encode(key)}: ")
+                fh.write(f"{sep}{encode(key)}: ")
                 sep = ",\n  "
                 if key != "rows":
-                    buf.write(encode(report[key]).replace("\n", "\n  "))
+                    fh.write(encode(report[key]).replace("\n", "\n  "))
                     continue
                 row_sep = "[\n    "
                 for row in report["rows"]:
-                    buf.write(f"{row_sep}{{\n      {fields(row)[1:-1]}\n    }}")
+                    fh.write(f"{row_sep}{{\n      {fields(row)[1:-1]}\n    }}")
                     row_sep = ",\n    "
-                    if buf.tell() >= _FLUSH_AT:
-                        spill()
-                buf.write("[]" if row_sep == "[\n    " else "\n  ]")
-            buf.write("\n}\n")
+                fh.write("[]" if row_sep == "[\n    " else "\n  ]")
+            fh.write("\n}\n")
         elif fmt == "csv":
             import csv
-            writer = csv.writer(buf, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             keys = None
             for row in report["rows"]:
                 if keys is None:
                     keys = sorted(row)
                     writer.writerow(keys)
                 writer.writerow([row[k] for k in keys])
-                if buf.tell() >= _FLUSH_AT:
-                    spill()
         else:  # table
             rows = list(report["rows"])
             lines = []
@@ -238,10 +196,9 @@ def _write_report(report: dict, fmt: str, out: str | None) -> None:
                 lines.append("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
                 for row in rows:
                     lines.append("  ".join(str(row[k]).ljust(w) for k, w in zip(keys, widths)))
-            buf.write("\n".join(lines) + "\n")
-        spill()
+            fh.write("\n".join(lines) + "\n")
 
-    _write_output(out, fill)
+    write_text(out, fill)
 
 
 def _load_cache(args, cfg: Config) -> tuple[bgs.ResultCache | None, str | None]:
@@ -440,8 +397,8 @@ def cmd_bgs_scan(args, cfg):
 def cmd_qt_build(args, cfg):
     from . import quasitrivial
     q = quasitrivial.build_qt(args.cutoff, k_max=cfg.k_max)
-    text = format_machine_file(q.table)
-    _write_output(args.out, lambda fh: fh.write(text))
+    from .bgs import write_text
+    write_text(args.out, lambda fh: fh.write(format_machine_file(q.table)))
     if args.out is not None:
         summary = {
             "k": q.k,

@@ -6,6 +6,8 @@ import os
 import re
 from typing import NamedTuple
 
+from .machine import parse_integer
+
 OUTPUT_FORMATS = ("json", "csv", "table")
 
 
@@ -60,7 +62,7 @@ def load_config(path: str | None = None, env: dict | None = None) -> Config:
                 raise ValueError(f"{where}: unknown config key: {key!r}")
             if isinstance(Config._field_defaults[key], int):
                 try:
-                    value = int(value)
+                    value = parse_integer(value)
                 except ValueError:
                     raise ValueError(
                         f"{where}: {key} must be an integer, not {value!r}") from None

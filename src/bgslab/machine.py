@@ -463,6 +463,11 @@ def parse_natural(text: str) -> int:
     return int(text)
 
 
+def parse_integer(text: str) -> int:
+    """A natural as parse_natural reads it, negated after a leading '-'."""
+    return -parse_natural(text[1:]) if text.startswith("-") else parse_natural(text)
+
+
 def parse_machine_file(text: str) -> TransitionTable:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]

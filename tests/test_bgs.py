@@ -3,9 +3,12 @@
 import functools
 import itertools
 import json
+import os
 import random
+import stat
 import sys
 import tempfile
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -825,6 +828,136 @@ def test_a_save_without_news_keeps_another_writers_entries(tmp_path):
     idle.save(path)  # no news of its own, but the file changed since its load
     assert bgs.ResultCache.load(path).lookup(ix.n, 200) == found
     assert idle.lookup(ix.n, 200) == found
+
+
+def scanned_cache(count: int) -> bgs.ResultCache:
+    """A cache of indices 0..count - 1 recorded in increasing n, as a scan
+    records them, every third exhausted."""
+    cache = bgs.ResultCache()
+    for n in range(count):
+        cache._merge(n, 3 * n + 1 if n % 3 else None, 500)
+    return cache
+
+
+def cache_ending_on_a_piece_boundary() -> bgs.ResultCache:
+    """A cache whose file is exactly two pieces long, padded by one long key."""
+    cache = scanned_cache(1000)
+    size = len(reference_cache_bytes(cache))
+    entry = len(',\n    "": {\n      "status": "found",\n      "z": 0\n    }')
+    cache._merge("9" * (2 * bgs._PIECE - size - entry), 0, 0)
+    assert len(reference_cache_bytes(cache)) == 2 * bgs._PIECE
+    return cache
+
+
+@pytest.mark.parametrize("make", [
+    bgs.ResultCache, lambda: scanned_cache(1), cache_ending_on_a_piece_boundary,
+    lambda: scanned_cache(50_000),
+], ids=["empty", "one", "piece-boundary", "50000"])
+def test_a_saved_cache_is_json_dump_and_its_digest_is_the_files(tmp_path, make):
+    cache = make()
+    path = tmp_path / "cache.json"
+    cache.save(path)
+    content = path.read_bytes()
+    assert content == reference_cache_bytes(cache)
+    assert cache._seen == bgs._digest(content)  # hashed in the same pieces as read
+
+
+def test_a_cache_in_any_key_order_is_saved_sorted(tmp_path):
+    cache = bgs.ResultCache()
+    rng = random.Random(7)
+    for n in rng.sample(range(10 ** 6), 3 * bgs._BATCH + 5):
+        cache._merge(n, None, n + 1)
+    path = tmp_path / "cache.json"
+    cache.save(path)
+    assert path.read_bytes() == reference_cache_bytes(cache)
+
+
+def test_each_file_content_is_parsed_once(tmp_path, monkeypatch):
+    parses = []
+    parse = bgs._parse
+    monkeypatch.setattr(bgs, "_parse", lambda text: parses.append(text) or parse(text))
+    path = tmp_path / "cache.json"
+    scanned_cache(20).save(path)
+    cache = bgs.ResultCache.load(path)
+    before = path.stat()
+    cache.save(path)  # no record since the load: neither parses nor writes
+    after = path.stat()
+    assert len(parses) == 1
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    ix = index_for(ERASER)
+    found = bgs.counterexample(ix, 200, cache)
+    cache.save(path)  # a record: writes without parsing
+    assert len(parses) == 1 and path.read_bytes() == reference_cache_bytes(cache)
+    other = bgs.ResultCache.load(path)
+    other.record(10 ** 9, bgs.CounterexampleResult(bgs.CounterexampleStatus.EXHAUSTED,
+                                                   None, 40, 40))
+    other.save(path)
+    assert len(parses) == 2
+    cache.save(path)  # changed by another writer: parsed once and merged
+    cache.save(path)
+    assert len(parses) == 3
+    assert cache.lookup(ix.n, 200) == found and cache.resume_from(10 ** 9) == 40
+    assert path.read_bytes() == reference_cache_bytes(other)
+
+
+def test_a_save_holds_little_beyond_the_resident_cache(tmp_path):
+    cache = scanned_cache(50_000)
+    path = tmp_path / "cache.json"
+    tracemalloc.start()
+    try:
+        resident = tracemalloc.get_traced_memory()[0]
+        cache.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sorted keys, 8 bytes an entry, and the buffer's few copies of a
+    # piece; writing the whole text at once added about 2.7 times the file's size
+    assert path.stat().st_size > 3_000_000
+    assert peak - resident <= 8 * 50_000 + 512 * 1024
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_sibling(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = scanned_cache(100)
+    cache.save(path)
+    old = path.read_bytes()
+
+    def fill(out):
+        out.write("x" * (3 * bgs._PIECE))  # pieces reach the sibling before the failure
+        raise RuntimeError("stopped mid-write")
+
+    with pytest.raises(RuntimeError):
+        bgs.write_text(path, fill)
+    assert path.read_bytes() == old
+    assert bgs.ResultCache.load(path)._entries == cache._entries
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_a_file_reaches_the_disk_before_it_replaces_the_old_one(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    path = tmp_path / "report.txt"
+    text = "y" * (bgs._PIECE + 10)
+    bgs.write_text(path, lambda out: out.write(text))
+    # the whole content is flushed to the sibling and synced, then renamed,
+    # then the rename is synced where POSIX allows a directory to be
+    want = [("fsync", len(text)), ("replace", "report.txt")]
+    if os.name == "posix" and hasattr(os, "O_DIRECTORY"):
+        want.append(("fsync", "directory"))
+    assert calls == want
+    assert path.read_text() == text
 
 
 @pytest.fixture

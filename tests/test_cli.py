@@ -122,6 +122,11 @@ def test_trace_goes_to_stderr(capsys, tmp_path):
     ["run", "--machine", "m.tm", "--input", "0", "--clock", "0,1"],
     ["run", "--machine", "m.tm", "--input", "0", "--clock", "abc"],
     ["qt", "verify", "--cutoffs", "0..2", "--window", "200"],
+    # the clock's fields are spelled in ASCII decimal digits
+    ["run", "--machine", "m.tm", "--input", "0", "--clock", "1_0,2"],
+    ["run", "--machine", "m.tm", "--input", "0", "--clock", "1,+2"],
+    ["run", "--machine", "m.tm", "--input", "0", "--clock", "1, 2"],
+    ["run", "--machine", "m.tm", "--input", "0", "--clock", "\u0661,2"],
 ])
 def test_usage_error_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
@@ -167,12 +172,24 @@ def test_dimacs_clause_count_mismatch_exits_two(capsys, tmp_path):
     "p cnf -1 0\n",
     "p cnf -2 1\n0\n",  # an empty clause mentions no variable to check against V
     "p cnf 1 -1\n",
+    "p cnf 1_0 1\n1 0\n",  # and every count is spelled in ASCII decimal digits
+    "p cnf +1 1\n1 0\n",
+    "p cnf 1 \u0661\n1 0\n",
 ])
 def test_a_negative_dimacs_count_exits_two(capsys, tmp_path, text):
     path = tmp_path / "f.cnf"
     path.write_text(text)
     rc, out, err = run_cli(capsys, ["cnf-encode", "--dimacs", str(path)])
     assert rc == 2 and out == "" and "bad DIMACS header" in err
+
+
+@pytest.mark.parametrize("clause", ["+1 0", "1_0 0", "\u0661 0"])
+def test_a_dimacs_literal_is_spelled_in_ascii_decimal_digits(capsys, tmp_path, clause):
+    path = tmp_path / "f.cnf"
+    path.write_text(f"p cnf 10 1\n{clause}\n")
+    rc, out, err = run_cli(capsys, ["cnf-encode", "--dimacs", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == f"bgslab: bad DIMACS clause line: {clause!r}\n"
 
 
 def test_a_second_dimacs_header_exits_two(capsys, tmp_path):
@@ -343,6 +360,8 @@ REPORTS = {
     "scan-timings": ["bgs", "scan", "--from", "15", "--to", "60", "--budget", "150",
                      "--timings"],
     "verify": ["qt", "verify", "--cutoffs", "0..3,7"],
+    # past two pieces of the writer's buffer in every format
+    "scan-long": ["bgs", "scan", "--from", "0", "--to", "2999", "--budget", "40"],
 }
 
 
@@ -461,7 +480,11 @@ def test_bad_config_exits_two(capsys, tmp_path):
      "line 3: the value of cache_path is not UTF-8 text (byte 0xff)"),
     (b"k_max=7\n\xffk_max=3\n", "line 2: the line is not UTF-8 text (byte 0xff)"),
     (b"k_max=100\n", "line 1: k_max must be between 0 and 64"),
-], ids=["not-a-number", "empty", "not-utf8", "not-utf8-cr", "not-utf8-key", "out-of-range"])
+    (b"k_max=1_0\n", "line 1: k_max must be an integer, not '1_0'"),
+    (b"budget_default= +5\n", "line 1: budget_default must be an integer, not '+5'"),
+    (b"k_max=\xd9\xa1\n", "line 1: k_max must be an integer, not '\u0661'"),
+], ids=["not-a-number", "empty", "not-utf8", "not-utf8-cr", "not-utf8-key", "out-of-range",
+        "underscore", "plus", "arabic-indic"])
 def test_a_bad_config_value_names_file_line_and_key(capsys, tmp_path, content, message):
     config = tmp_path / "bgslab.conf"
     config.write_bytes(content)
