@@ -289,15 +289,20 @@ class ResultCache:
 
     Saving merges: `save` reads the file again and keeps the stronger
     entry per index, so two scans sharing a cache keep each other's
-    entries.  There is no lock: an entry saved by another process between
-    this save's read and its rename (in `write_text`) is lost.
+    entries.  From that read to the rename (in `write_text`) it holds an
+    exclusive flock on the file's directory, since the rename replaces the
+    file itself, so no save is lost and no lock file is made.  Where there
+    is no fcntl (Windows) there is no lock: an entry saved by another
+    process between this save's read and its rename is lost.
 
     A command touches the file only as much as it changes it.  The cache
     remembers the `_digest` of the file content it last read or wrote, so
     a changed file goes unseen with probability about 2^-64.  `save`
-    parses the file only when its content differs from that, so each
-    content is parsed once, and writes nothing when it does not and no
-    `record` came since, because the file then holds exactly this cache.
+    digests the file a piece at a time and reads it whole, to parse it,
+    only when its content differs from that, so each content is parsed
+    once and an unchanged file is never held whole; it writes nothing when
+    the content is unchanged and no `record` came since, because the file
+    then holds exactly this cache.
     """
 
     def __init__(self):
@@ -319,15 +324,16 @@ class ResultCache:
         file."""
         try:
             with open(path, "rb") as fh:
+                digest = _digest(fh)
+                if digest == self._seen:
+                    return True
+                fh.seek(0)  # the whole content, only when it is new
                 data = fh.read()
         except FileNotFoundError:
             return False
         except OSError as e:  # unreadable, which a save then replaces
             _warn("ignoring corrupt cache %s: %s", path, e)
             return False
-        digest = _digest(data)
-        if digest == self._seen:
-            return True
         self._seen = digest
         try:
             text = data.decode("utf-8")
@@ -349,9 +355,14 @@ class ResultCache:
         return False
 
     def save(self, path) -> None:
-        if self._absorb(path) and not self._news:
-            return  # the file already holds exactly this cache
-        self._seen, self._news = write_text(path, self._write), False
+        fd = _lock(path)
+        try:
+            if self._absorb(path) and not self._news:
+                return  # the file already holds exactly this cache
+            self._seen, self._news = write_text(path, self._write), False
+        finally:
+            if fd is not None:
+                os.close(fd)  # and with it the lock
 
     def _write(self, out: _Buffer) -> None:
         """Write the file as json.dump(data, fh, indent=2, sort_keys=True)
@@ -430,32 +441,19 @@ def write_text(path, fill: Callable[[_Buffer], None]) -> tuple[int, int] | None:
     sibling <path>.<pid>.tmp, synced to disk and renamed over path, then on
     POSIX the directory synced, so that path holds its old or its whole new
     content even across a crash.  An error of the writer names path and
-    leaves no sibling.  Returns the `_digest` of the content of a file."""
+    leaves no sibling.  Returns the `_digest` of a file's content, read
+    back from the sibling before the rename."""
     if path is None:
         fill(out := _Buffer(sys.stdout.write))
         return out.flush()
     tmp, folder = f"{path}.{os.getpid()}.tmp", os.path.dirname(path) or "."
     try:
-        with open(tmp, "wb") as fh:
-            rest, hashes = bytearray(), []
-
-            def spill(text: str) -> None:
-                # whole pieces out, each hashed as _digest hashes the file
-                rest.extend(text.encode())
-                end = len(rest) - len(rest) % _PIECE
-                for i in range(0, end, _PIECE):
-                    hashes.append(hash(piece := bytes(memoryview(rest)[i:i + _PIECE])))
-                    fh.write(piece)
-                del rest[:end]
-
-            fill(out := _Buffer(spill))
+        with open(tmp, "w+b") as fh:
+            fill(out := _Buffer(lambda text: fh.write(text.encode())))
             out.flush()
-            if rest:
-                hashes.append(hash(piece := bytes(rest)))
-                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
-            digest = fh.tell(), hash(tuple(hashes))
+            digest = _digest(fh)  # read back, as a later load reads it
         os.replace(tmp, path)
         if os.name == "posix" and hasattr(os, "O_DIRECTORY"):
             fd = os.open(folder, os.O_RDONLY | os.O_DIRECTORY)
@@ -473,15 +471,38 @@ def write_text(path, fill: Callable[[_Buffer], None]) -> tuple[int, int] | None:
     return digest
 
 
+def _lock(path) -> int | None:
+    """A descriptor of the directory of the file at path that holds an
+    exclusive flock until it is closed, or None where there is no fcntl.
+    A directory that cannot be opened raises an error naming path; a file
+    system without flock leaves the save unlocked, with a warning."""
+    try:
+        import fcntl  # loaded by the first save, not by every command
+    except ImportError:  # Windows
+        return None
+    try:
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    except OSError as e:
+        _warn("saving cache %s without a lock: %s", path, e)
+    return fd
+
+
 def _warn(message: str, *args) -> None:
     # importing logging takes milliseconds, which only a warning pays
     import logging
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _digest(data: bytes) -> tuple[int, int]:
-    """The length of a content and a hash of the hashes of its _PIECE-byte pieces."""
-    return len(data), hash(tuple(hash(data[i:i + _PIECE]) for i in range(0, len(data), _PIECE)))
+def _digest(fh) -> tuple[int, int]:
+    """The length of a binary file and a hash of the hashes of its
+    _PIECE-byte pieces, read from its start one piece at a time."""
+    fh.seek(0)
+    hashes = tuple(hash(piece) for piece in iter(lambda: fh.read(_PIECE), b""))
+    return fh.tell(), hash(hashes)
 
 
 # the fields of a cache file as `save` writes it

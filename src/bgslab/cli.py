@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Iterator
@@ -205,6 +206,10 @@ def _load_cache(args, cfg: Config) -> tuple[bgs.ResultCache | None, str | None]:
     path = getattr(args, "cache", None) or cfg.cache_path
     if path is None:
         return None, None
+    out = getattr(args, "out", None)
+    if out is not None and os.path.realpath(out) == os.path.realpath(path):
+        # the report would replace the cache, or race its save for one sibling
+        raise UsageError(f"--out {out} is the cache file {path}")
     from . import bgs
     return bgs.ResultCache.load(path), path
 

@@ -339,6 +339,27 @@ def test_an_unwritable_output_file_exits_two(capsys, tmp_path, monkeypatch, argv
     assert err.startswith("bgslab: ") and err.count("\n") == 1 and "nodir" in err
 
 
+@pytest.mark.parametrize("cache,argv", [
+    # the save and the report shared one sibling file: exit 2 naming neither,
+    # the cache written
+    (None, ["bgs", "scan", "--from", "15", "--to", "18", "--budget", "120",
+            "--cache", "s.json", "--out", "s.json"]),
+    # the same file by its real path, the cache named by the environment:
+    # the report replaced the cache, which the next run discarded
+    ("q.json", ["qt", "verify", "--cutoffs", "0..2", "--out", "./q.json"]),
+], ids=["scan", "verify"])
+def test_an_out_file_that_is_the_cache_exits_two_before_any_work(
+        capsys, tmp_path, monkeypatch, cache, argv):
+    monkeypatch.chdir(tmp_path)
+    if cache is not None:
+        monkeypatch.setenv("BGSLAB_CACHE", cache)
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (2, "")
+    cache = cache or argv[argv.index("--cache") + 1]
+    assert err == f"bgslab: --out {argv[-1]} is the cache file {cache}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_unwritable_cache_is_named_as_given(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc, _, err = run_cli(capsys, ["bgs", "counterexample", "--index", "17",
