@@ -63,6 +63,7 @@ import enum
 import heapq
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -273,8 +274,9 @@ class ResultCache:
     A cached least witness z answers any budget > z; a cached exhausted
     bound U answers any budget <= U and lets larger budgets resume at U.
     A file is taken whole or not at all: one written under different codec
-    or machine-encoding versions, or with any malformed entry, is ignored
-    with a warning, so a stale or damaged cache can never change an answer.
+    or machine-encoding versions, with any malformed entry, or nested too
+    deeply to parse, is ignored with a warning, so a stale or damaged cache
+    can never change an answer.
     An entry is well formed when its key is the canonical decimal of a
     natural n, and it is either found with a natural z or exhausted with
     an integer bound upto >= 1.
@@ -339,7 +341,7 @@ class ResultCache:
             text = data.decode("utf-8")
             del data  # hold one copy of the content while it is parsed
             entries = _parse(text)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # the latter: nested too deeply to parse
             _warn("ignoring corrupt cache %s: %s", path, e)
             entries = None
         else:
@@ -411,6 +413,9 @@ class ResultCache:
 # the cache file's fixed text around its entries, as json.dump writes it
 _HEAD = '{\n  "codec_version": %s,\n  "entries": {' % json.dumps(CODEC_VERSION)
 _TAIL = ',\n  "machine_encoding_version": %s\n}\n' % json.dumps(MACHINE_ENCODING_VERSION)
+# and an entry as `ResultCache._write` writes it, then a comma when one follows
+_ENTRY = (r'\n    "(0|[1-9][0-9]*)": \{\n      "status": "(?:found",\n      "z": (0|[1-9][0-9]*)'
+          r'|exhausted",\n      "upto": ([1-9][0-9]*))\n    \}(,?)')
 _BATCH = 256  # entries formatted at a time, about 19 KB of the file
 
 # the characters the writer collects before it writes them out (a write per
@@ -505,48 +510,27 @@ def _digest(fh) -> tuple[int, int]:
     return fh.tell(), hash(hashes)
 
 
-# the fields of a cache file as `save` writes it
-_FILE_FIELDS = frozenset({"codec_version", "entries", "machine_encoding_version"})
-
-
 def _parse(text: str) -> dict[str, int] | None:
     """The entries of a cache file's content, each as one int: z when
     found, -upto when exhausted.  None when it was written under other
     versions; ValueError when it is malformed.
 
-    The parser turns each well-formed entry into its int as soon as it is
-    read, so that no dict per entry is held.  That is sound only when each
-    int in `entries` came from an entry, which a count shows when `entries`
-    holds nothing but ints under canonical keys and the file no fields but
-    its own.  Any other content is parsed again into plain objects and
-    checked field by field, which names the first fault."""
-    made = 0
-
-    def entry(obj: dict):
-        nonlocal made
-        if len(obj) == 2:
-            status = obj.get("status")
-            if status == "found":
-                z = obj.get("z")
-                if type(z) is int and z >= 0:
-                    made += 1
-                    return z
-            elif status == "exhausted":
-                upto = obj.get("upto")
-                if type(upto) is int and upto >= 1:
-                    made += 1
-                    return -upto
-        return obj
-
-    doc = json.loads(text, object_hook=entry)
-    if (type(doc) is dict and doc.keys() <= _FILE_FIELDS
-            and doc.get("codec_version") == CODEC_VERSION
-            and doc.get("machine_encoding_version") == MACHINE_ENCODING_VERSION
-            and type(doc.get("entries")) is dict and len(doc["entries"]) == made
-            and all(type(value) is int and _is_decimal(key)
-                    for key, value in doc["entries"].items())):
-        return doc["entries"]
-    del doc
+    Content in exactly the layout `ResultCache._write` gives it is read by
+    matching that layout, an entry at a time, so that no dict per entry is
+    made; such content is well formed by construction.  Any other content
+    is parsed into plain objects and checked field by field, which names
+    the first fault."""
+    if text.startswith(_HEAD):
+        entries, pos, more = {}, len(_HEAD), ","
+        match = re.compile(_ENTRY).match  # compiled on first use, then cached by re
+        while more and (m := match(text, pos)):
+            n, z, upto, more = m.groups()
+            entries[n] = int(z) if upto is None else -int(upto)
+            pos = m.end()
+        tail = ("\n  }" if entries else "}") + _TAIL  # after an entry with no comma, or none
+        if not (more and entries) and len(text) == pos + len(tail) and text.endswith(tail):
+            return entries
+        del entries  # hold no partial read while the content is parsed again
     return _checked(json.loads(text))
 
 

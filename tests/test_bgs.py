@@ -13,9 +13,10 @@ import tempfile
 import tracemalloc
 from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bgslab import bgs, codec, machine, quasitrivial as qt, sat
 from bgslab.codec import pair, triple_encode, unpair
@@ -785,11 +786,17 @@ def test_a_malformed_entry_discards_the_whole_file(tmp_path, caplog, bad):
     assert json.loads(path.read_text())["entries"] == {}
 
 
-@pytest.mark.parametrize("text", ["[]", cache_file([]), b"\xff{}".decode("latin-1")])
-def test_a_malformed_file_is_ignored(tmp_path, text):
+@pytest.mark.parametrize("text", ["[]", cache_file([]), b"\xff{}".decode("latin-1"),
+                                  pytest.param("[" * 100_000, id="nested-too-deeply")])
+def test_a_malformed_file_is_ignored(tmp_path, caplog, text):
     path = tmp_path / "cache.json"
     path.write_text(text, encoding="latin-1")
-    assert bgs.ResultCache.load(path).lookup(1, 100) is None
+    cache = bgs.ResultCache.load(path)
+    assert cache.lookup(1, 100) is None
+    [warning] = caplog.records
+    assert warning.message.startswith(f"ignoring corrupt cache {path}: ")
+    cache.save(path)  # replaced, by an empty cache
+    assert path.read_bytes() == reference_cache_bytes(bgs.ResultCache())
 
 
 def test_a_save_without_news_neither_parses_nor_writes(tmp_path, monkeypatch):
@@ -1099,16 +1106,17 @@ def test_written_bytes_equal_json_dump(cache):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(caches(), st.sampled_from([None, 2]), st.randoms(use_true_random=False))
+@given(caches(), st.sampled_from([None, 2, "saved"]), st.randoms(use_true_random=False))
 def test_loads_equal_the_entry_by_entry_merge(cache, indent, rng):
     entries = json.loads(reference_cache_bytes(cache))["entries"]
     items = list(entries.items())
     rng.shuffle(items)  # any entry order, any layout
+    doc = {"codec_version": codec.CODEC_VERSION,
+           "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION, "entries": dict(items)}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.json"
-        path.write_text(json.dumps({"codec_version": codec.CODEC_VERSION,
-                                    "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION,
-                                    "entries": dict(items)}, indent=indent))
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n" if indent == "saved"
+                        else json.dumps(doc, indent=indent))
         loaded, reference = bgs.ResultCache.load(path), reference_load(path)
     assert loaded._entries == reference._entries == cache._entries
 
@@ -1137,11 +1145,18 @@ def assert_parses_as_the_reference(text: str):
     assert got == want
 
 
+def load_without_json(path) -> bgs.ResultCache:
+    """`ResultCache.load` with `json.loads` made to fail the test."""
+    with mock.patch.object(bgs.json, "loads", side_effect=AssertionError("json.loads called")):
+        return bgs.ResultCache.load(path)
+
+
 def test_the_golden_cache_parses_as_the_reference():
     golden = Path(__file__).parent / "golden" / "cache_scan_15_18.json"
     text = golden.read_text(encoding="utf-8")
     assert_parses_as_the_reference(text)
     assert split(bgs._parse(text))[0]  # it holds found entries
+    assert split(load_without_json(golden)._entries) == reference_parse(golden.read_bytes())
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -1150,6 +1165,7 @@ def test_written_and_compact_caches_parse_as_the_reference(cache, indent):
     doc = json.loads(reference_cache_bytes(cache))
     assert_parses_as_the_reference(json.dumps(doc, indent=indent))
     assert_parses_as_the_reference(json.dumps(doc, separators=(",", ":")))
+    assert_parses_as_the_reference(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # values that are not naturals where an entry needs one
@@ -1211,6 +1227,8 @@ def odd_cache_files(draw):
                                         odd_values(1), max_size=2)))
     if draw(st.integers(0, 9)) == 5:
         doc = draw(st.one_of(file_entries(depth=1), odd_numbers))
+    if draw(st.integers(0, 2)) == 1:  # save's layout, which the reader matches
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return json.dumps(doc, indent=draw(st.sampled_from([None, 2])),
                       sort_keys=draw(st.booleans()))
 
@@ -1225,7 +1243,9 @@ FOUND_1 = {"status": "found", "z": 1}
     {"entries": {"7": {"status": "found", "z": FOUND_1}}},  # an entry as z
     {"entries": FOUND_1},                                # entries is itself entry-shaped
     {"entries": {"7": {**FOUND_1, "note": 2}}},          # an extra field, which is allowed
-], ids=["bare-int", "bare-int-and-nested", "in-a-list", "as-z", "entries", "extra-field"])
+    {"entries": {"7": 5, "8": {"status": "found", "z": FOUND_1}}},
+], ids=["bare-int", "bare-int-and-nested", "in-a-list", "as-z", "entries", "extra-field",
+        "bare-int-and-entry-as-z"])
 def test_files_that_hide_an_int_parse_as_the_reference(doc):
     versions = {"codec_version": codec.CODEC_VERSION,
                 "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION}
@@ -1237,6 +1257,61 @@ def test_files_that_hide_an_int_parse_as_the_reference(doc):
 @given(odd_cache_files())
 def test_odd_caches_parse_as_the_reference(text):
     assert_parses_as_the_reference(text)
+
+
+def cache_with_long_keys() -> bgs.ResultCache:
+    cache = scanned_cache(3)
+    cache._merge("7" * 4301, 93, 0)  # past CPython's default digit limit
+    cache._merge("8" * 5000, None, 40)
+    return cache
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(caches())
+@example(bgs.ResultCache())
+@example(cache_with_long_keys())
+@example(scanned_cache(5000))
+def test_every_saved_file_is_read_without_json(cache):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.json"
+        cache.save(path)
+        assert load_without_json(path)._entries == cache._entries
+
+
+def saved_text() -> str:
+    """The file `save` writes for two found and two exhausted entries."""
+    cache = bgs.ResultCache()
+    for n, z, upto in [(9, 93, 0), (10, None, 50), (17, 93, 0), (40, None, 7)]:
+        cache._merge(n, z, upto)
+    return reference_cache_bytes(cache).decode()
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"z": 93', '"z":93'),                               # compact spacing
+    ('"status": ', '"status":  '),                       # an extra space
+    ('"status": "exhausted",\n      "upto": 50',         # upto before status
+     '"upto": 50,\n      "status": "exhausted"'),
+    ('"10":', '"010":'),                                 # a leading zero
+    ('"10":', '"\u0661\u0660":'),                        # Arabic-Indic digits
+    ('"9":', '"40":'),                                   # a key twice, the last read
+    ('"upto": 50', '"upto": 0'),
+    ('"z": 93', '"z": -0'),                              # the natural 0, as JSON reads it
+    ('"z": 93', '"z": 093'),
+    ('"z": 93', '"z": 93.0'),
+    ('    }\n  }', '    },\n  }'),                       # a trailing comma
+    ('}\n', '}'),                                        # no final newline
+    ('}\n', '}\n\n'),                                    # a blank line after it
+    (json.dumps(bgs.MACHINE_ENCODING_VERSION), '"other"'),  # other versions
+    ('{\n  "codec', '\ufeff{\n  "codec'),                # a byte order mark
+], ids=["compact", "extra-space", "upto-first", "leading-zero", "non-ascii-key",
+        "duplicate-key", "upto-0", "minus-zero", "z-leading-zero", "float-z",
+        "trailing-comma", "no-final-newline", "extra-newline", "other-version", "bom"])
+def test_a_departure_from_the_saved_layout_parses_as_the_reference(old, new):
+    text = saved_text()
+    at = text.rindex(old) if old == "}\n" else text.index(old)
+    departed = text[:at] + new + text[at + len(old):]
+    assert departed != text
+    assert_parses_as_the_reference(departed)
 
 
 def test_cold_and_warm_results_are_identical(tmp_path):

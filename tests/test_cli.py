@@ -328,6 +328,30 @@ def test_a_malformed_cache_is_searched_afresh(capsys, tmp_path):
     assert out == fresh
 
 
+@pytest.mark.parametrize("content", [
+    # a bare int under "17" and an entry as the z of "18", which once
+    # balanced a count of the entries read and answered z = 5
+    json.dumps({"codec_version": cli.CODEC_VERSION,
+                "machine_encoding_version": cli.MACHINE_ENCODING_VERSION,
+                "entries": {"17": 5, "18": {"status": "found",
+                                            "z": {"status": "found", "z": 0}}}}),
+    "[" * 100_000,  # nested too deeply for the parser
+], ids=["bare-int-and-entry-as-z", "deeply-nested"])
+def test_a_damaged_cache_warns_and_gives_the_cold_answer(tmp_path, content):
+    cache = tmp_path / "cache.json"
+    cache.write_text(content)
+    src = str(pathlib.Path(bgslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "bgslab", "bgs", "counterexample",
+                           "--index", "17", "--budget", "200", "--cache", str(cache)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert f"ignoring corrupt cache {cache}" in proc.stderr
+    assert proc.stdout == (GOLDEN / "bgs_counterexample_17.json").read_text()
+    assert json.loads(cache.read_text())["entries"] == {"17": {"status": "found", "z": 93}}
+
+
 @pytest.mark.parametrize("argv", [
     ["bgs", "counterexample", "--index", "17", "--cache", "nodir/c.json"],
     ["bgs", "scan", "--from", "0", "--to", "3", "--out", "nodir/o.json"],
