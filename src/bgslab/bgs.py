@@ -64,8 +64,10 @@ import heapq
 import json
 import os
 import re
+import stat
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -240,12 +242,12 @@ def counterexample(index: BgsIndex, budget: int,
 
 
 @lru_cache(maxsize=1024)
-def _least_is(z: int, budget: int) -> CounterexampleResult:
-    """The result under budget of an index whose least counterexample is z,
-    one shared object per (z, budget)."""
-    if z < budget:
+def _least_is(z: int | None, budget: int) -> CounterexampleResult:
+    """The result under budget of an index whose least counterexample is z
+    (None: none below budget), one shared object per (z, budget)."""
+    if z is not None and z < budget:
         return CounterexampleResult(CounterexampleStatus.FOUND, z, z + 1, budget)
-    # z is minimal, so a smaller budget scans nothing below it
+    # z is minimal, so a smaller budget settles nothing below it either
     return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
 
 
@@ -265,7 +267,7 @@ def _walk(table: TransitionTable, clock: ClockSpec, start: int,
             if settled:
                 table.answer = (z, most)  # any two answers are equal
             return _least_is(z, budget)
-    return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
+    return _least_is(None, budget)
 
 
 class ResultCache:
@@ -273,13 +275,11 @@ class ResultCache:
 
     A cached least witness z answers any budget > z; a cached exhausted
     bound U answers any budget <= U and lets larger budgets resume at U.
-    A file is taken whole or not at all: one written under different codec
-    or machine-encoding versions, with any malformed entry, or nested too
-    deeply to parse, is ignored with a warning, so a stale or damaged cache
-    can never change an answer.
-    An entry is well formed when its key is the canonical decimal of a
-    natural n, and it is either found with a natural z or exhausted with
-    an integer bound upto >= 1.
+    A file is read whole or not at all, and only in the layout `save`
+    writes (see `_parse`): any other file, one of other codec or
+    machine-encoding versions among them, is ignored with a warning and
+    replaced at the next save, so a stale or damaged cache can never change
+    an answer.  The path must name a regular file, through any links.
 
     Keys stay the file's canonical decimal text: an index n is converted
     to its decimal once where it enters (`lookup`, `resume_from`, `record`
@@ -292,10 +292,12 @@ class ResultCache:
     Saving merges: `save` reads the file again and keeps the stronger
     entry per index, so two scans sharing a cache keep each other's
     entries.  From that read to the rename (in `write_text`) it holds an
-    exclusive flock on the file's directory, since the rename replaces the
-    file itself, so no save is lost and no lock file is made.  Where there
-    is no fcntl (Windows) there is no lock: an entry saved by another
-    process between this save's read and its rename is lost.
+    exclusive flock on the directory of the file a link names, since the
+    rename replaces the file itself, so no save is lost and no lock file is
+    made; holding it, a writing save removes the siblings that saves killed
+    before their rename left.  Where there is no fcntl (Windows) there is
+    no lock: an entry saved by another process between this save's read
+    and its rename is lost.
 
     A command touches the file only as much as it changes it.  The cache
     remembers the `_digest` of the file content it last read or wrote, so
@@ -320,10 +322,13 @@ class ResultCache:
 
     def _absorb(self, path) -> bool:
         """Merge every entry of the file at path into this cache, or none
-        when its content is malformed or from other versions, and remember
+        when its content is not in the layout a save writes, and remember
         the content.  True when the file holds the content last read or
         written, which is then not parsed again; False when there is no
-        file."""
+        file.  An OSError naming path when path names something that is
+        not a regular file, which is neither read nor replaced."""
+        if _special(path):  # opening a FIFO would wait for a writer
+            raise OSError(f"cache {path} is not a regular file")
         try:
             with open(path, "rb") as fh:
                 digest = _digest(fh)
@@ -341,19 +346,15 @@ class ResultCache:
             text = data.decode("utf-8")
             del data  # hold one copy of the content while it is parsed
             entries = _parse(text)
-        except (ValueError, RecursionError) as e:  # the latter: nested too deeply to parse
+        except ValueError as e:
             _warn("ignoring corrupt cache %s: %s", path, e)
-            entries = None
-        else:
-            if entries is None:
-                _warn("cache %s has mismatched versions; starting empty", path)
-        if entries is None:
             self._news = True  # a save must replace the file
-        elif self._entries:
-            for n, value in entries.items():
-                self._merge(n, value if value >= 0 else None, -value)
         else:
-            self._entries = entries
+            if self._entries:
+                for key, value in entries.items():
+                    self._merge(key, value)
+            else:
+                self._entries = entries
         return False
 
     def save(self, path) -> None:
@@ -361,6 +362,8 @@ class ResultCache:
         try:
             if self._absorb(path) and not self._news:
                 return  # the file already holds exactly this cache
+            if fd is not None:  # so no other save of the file is running
+                _remove_stale(path)
             self._seen, self._news = write_text(path, self._write), False
         finally:
             if fd is not None:
@@ -381,33 +384,25 @@ class ResultCache:
 
     def lookup(self, n: int | str, budget: int) -> CounterexampleResult | None:
         value = self._entries.get(str(n))
-        if value is None:
+        if value is None or 0 < -value < budget:  # none, or exhausted below budget
             return None
-        if value >= 0:
-            return _least_is(value, budget)
-        if budget <= -value:
-            return CounterexampleResult(CounterexampleStatus.EXHAUSTED, None, budget, budget)
-        return None
+        return _least_is(value if value >= 0 else None, budget)
 
     def resume_from(self, n: int | str) -> int:
         value = self._entries.get(str(n), 0)
         return -value if value < 0 else 0
 
     def record(self, n: int | str, result: CounterexampleResult) -> None:
-        self._merge(n, result.z if result.found else None, result.budget)
+        self._merge(str(n), result.z if result.found else -result.budget)
         self._news = True
 
-    def _merge(self, n: int | str, z: int | None, upto: int) -> None:
-        """Add the least witness z of n, or, when z is None, its exhaustion
-        below upto: a found entry beats an exhausted one, and the larger
+    def _merge(self, key: str, value: int) -> None:
+        """Add the entry value of the decimal key, z >= 0 when found, -upto
+        when exhausted: a found entry beats an exhausted one, and the larger
         exhausted bound wins."""
-        n = str(n)
-        if z is not None:
-            self._entries[n] = z
-        else:
-            value = self._entries.get(n)
-            if value is None or value < 0:
-                self._entries[n] = min(value or 0, -upto)
+        old = self._entries.get(key)
+        if value >= 0 or old is None or value < old < 0:
+            self._entries[key] = value
 
 
 # the cache file's fixed text around its entries, as json.dump writes it
@@ -416,6 +411,9 @@ _TAIL = ',\n  "machine_encoding_version": %s\n}\n' % json.dumps(MACHINE_ENCODING
 # and an entry as `ResultCache._write` writes it, then a comma when one follows
 _ENTRY = (r'\n    "(0|[1-9][0-9]*)": \{\n      "status": "(?:found",\n      "z": (0|[1-9][0-9]*)'
           r'|exhausted",\n      "upto": ([1-9][0-9]*))\n    \}(,?)')
+# why content that does not begin with _HEAD or end with _TAIL is not read
+_FOREIGN = (f"not in the layout this version saves (codec version {CODEC_VERSION}, "
+            f"machine encoding version {MACHINE_ENCODING_VERSION})")
 _BATCH = 256  # entries formatted at a time, about 19 KB of the file
 
 # the characters the writer collects before it writes them out (a write per
@@ -442,24 +440,33 @@ class _Buffer:
 
 def write_text(path, fill: Callable[[_Buffer], None]) -> tuple[int, int] | None:
     """Call fill with a buffer whose `write` takes text, and write that
-    text to stdout when path is None, else to the file at path: through a
-    sibling <path>.<pid>.tmp, synced to disk and renamed over path, then on
-    POSIX the directory synced, so that path holds its old or its whole new
-    content even across a crash.  An error of the writer names path and
-    leaves no sibling.  Returns the `_digest` of a file's content, read
-    back from the sibling before the rename."""
+    text to stdout when path is None, else to the file at path.
+
+    A path that names, through any links, something other than a regular
+    file (a FIFO, a terminal, a device) is written in place.  Any other
+    path is resolved through its links, and the target is written through
+    a sibling <target>.<pid>.tmp, synced to disk and renamed over it, then
+    on POSIX the directory synced: the target holds its old or its whole
+    new content even across a crash, and a link still points to it.  An
+    error of the writer names path and leaves no sibling.  Returns the
+    `_digest` of a regular file's content, read back from the sibling
+    before the rename."""
     if path is None:
         fill(out := _Buffer(sys.stdout.write))
         return out.flush()
-    tmp, folder = f"{path}.{os.getpid()}.tmp", os.path.dirname(path) or "."
+    in_place = _special(path)
+    target = os.path.realpath(path)
+    tmp, folder = f"{target}.{os.getpid()}.tmp", os.path.dirname(target)
     try:
-        with open(tmp, "w+b") as fh:
+        with open(path, "wb") if in_place else open(tmp, "w+b") as fh:
             fill(out := _Buffer(lambda text: fh.write(text.encode())))
             out.flush()
+            if in_place:
+                return None
             fh.flush()
             os.fsync(fh.fileno())
             digest = _digest(fh)  # read back, as a later load reads it
-        os.replace(tmp, path)
+        os.replace(tmp, target)
         if os.name == "posix" and hasattr(os, "O_DIRECTORY"):
             fd = os.open(folder, os.O_RDONLY | os.O_DIRECTORY)
             try:
@@ -476,24 +483,47 @@ def write_text(path, fill: Callable[[_Buffer], None]) -> tuple[int, int] | None:
     return digest
 
 
+def _special(path) -> bool:
+    """Whether path names, through any links, something that is not a
+    regular file: a FIFO, a terminal, a device or a directory."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # nothing there, or nothing that can be looked at
+        return False
+
+
 def _lock(path) -> int | None:
-    """A descriptor of the directory of the file at path that holds an
-    exclusive flock until it is closed, or None where there is no fcntl.
-    A directory that cannot be opened raises an error naming path; a file
-    system without flock leaves the save unlocked, with a warning."""
+    """A descriptor of the directory of the target of path that holds an
+    exclusive flock until it is closed, or None where there is no fcntl or
+    (with a warning) no flock.  A directory that cannot be opened raises an
+    error naming path."""
     try:
         import fcntl  # loaded by the first save, not by every command
     except ImportError:  # Windows
         return None
     try:
-        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        fd = os.open(os.path.dirname(os.path.realpath(path)), os.O_RDONLY)
     except OSError as e:
         raise OSError(e.errno, e.strerror, os.fspath(path)) from None
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
     except OSError as e:
+        os.close(fd)
         _warn("saving cache %s without a lock: %s", path, e)
+        return None
     return fd
+
+
+def _remove_stale(path) -> None:
+    """Remove the siblings <target>.<digits>.tmp of the target of path,
+    which saves killed before their rename leave.  Only a save holding
+    `_lock` may call it, since no other save of the file then runs."""
+    folder, name = os.path.split(os.path.realpath(path))
+    stale = re.compile(re.escape(name) + r"\.[0-9]+\.tmp").fullmatch
+    for entry in os.listdir(folder):
+        if stale(entry):
+            with suppress(OSError):  # another owner's, say: it blocks no save
+                os.unlink(os.path.join(folder, entry))
 
 
 def _warn(message: str, *args) -> None:
@@ -510,59 +540,26 @@ def _digest(fh) -> tuple[int, int]:
     return fh.tell(), hash(hashes)
 
 
-def _parse(text: str) -> dict[str, int] | None:
+def _parse(text: str) -> dict[str, int]:
     """The entries of a cache file's content, each as one int: z when
-    found, -upto when exhausted.  None when it was written under other
-    versions; ValueError when it is malformed.
-
-    Content in exactly the layout `ResultCache._write` gives it is read by
-    matching that layout, an entry at a time, so that no dict per entry is
-    made; such content is well formed by construction.  Any other content
-    is parsed into plain objects and checked field by field, which names
-    the first fault."""
-    if text.startswith(_HEAD):
-        entries, pos, more = {}, len(_HEAD), ","
-        match = re.compile(_ENTRY).match  # compiled on first use, then cached by re
-        while more and (m := match(text, pos)):
-            n, z, upto, more = m.groups()
-            entries[n] = int(z) if upto is None else -int(upto)
-            pos = m.end()
-        tail = ("\n  }" if entries else "}") + _TAIL  # after an entry with no comma, or none
-        if not (more and entries) and len(text) == pos + len(tail) and text.endswith(tail):
-            return entries
-        del entries  # hold no partial read while the content is parsed again
-    return _checked(json.loads(text))
-
-
-def _is_decimal(key: str) -> bool:
-    """Whether key is the canonical decimal of a natural."""
-    return key.isascii() and key.isdigit() and (key[0] != "0" or len(key) == 1)
-
-
-def _checked(doc) -> dict[str, int] | None:
-    """The entries of a parsed cache file, as `_parse` gives them."""
-    if not isinstance(doc, dict):
-        raise ValueError("not a JSON object")
-    if (doc.get("codec_version") != CODEC_VERSION
-            or doc.get("machine_encoding_version") != MACHINE_ENCODING_VERSION):
-        return None
-    entries = doc.get("entries", {})
-    if not isinstance(entries, dict):
-        raise ValueError("entries is not an object")
-    for key, entry in entries.items():
-        if not _is_decimal(key):
-            raise ValueError(f"key {key!r} is not the decimal of a natural")
-        status = entry.get("status") if isinstance(entry, dict) else None
-        if status == "found":
-            z = entry.get("z")
-            if type(z) is not int or z < 0:  # bool is an int subclass
-                raise ValueError(f"entry {key}: z {z!r} is not a natural")
-            entries[key] = z
-        elif status == "exhausted":
-            upto = entry.get("upto")
-            if type(upto) is not int or upto < 1:
-                raise ValueError(f"entry {key}: upto {upto!r} is not a positive integer")
-            entries[key] = -upto
-        else:
-            raise ValueError(f"entry {key} has no status found or exhausted")
+    found, -upto when exhausted.  ValueError unless the content is a text
+    `ResultCache._write` gives, but with its entries in any order and a
+    repeated key read as its last entry: even JSON of the same entries in
+    another layout is not read.  The content is matched an entry at a time,
+    so no dict per entry is made, and what matches is well formed by
+    construction: a canonical decimal key, then found with a natural z or
+    exhausted with upto >= 1."""
+    if not text.startswith(_HEAD):
+        raise ValueError(_FOREIGN)
+    entries, pos, more = {}, len(_HEAD), ","
+    match = re.compile(_ENTRY).match  # compiled on first use, then cached by re
+    while more and (m := match(text, pos)):
+        n, z, upto, more = m.groups()
+        entries[n] = int(z) if upto is None else -int(upto)
+        pos = m.end()
+    if more and entries:  # a comma, then no entry
+        raise ValueError(f"no entry in the saved layout at character {pos}")
+    tail = ("\n  }" if entries else "}") + _TAIL  # after an entry with no comma, or none
+    if len(text) != pos + len(tail) or not text.endswith(tail):
+        raise ValueError(_FOREIGN)
     return entries

@@ -310,9 +310,9 @@ def reference_load(path) -> ResultCache:
         data = json.load(fh)
     for key, entry in data.get("entries", {}).items():
         if entry["status"] == "found":
-            cache._merge(int(key), int(entry["z"]), 0)
+            cache._merge(key, int(entry["z"]))
         else:
-            cache._merge(int(key), None, int(entry["upto"]))
+            cache._merge(key, -int(entry["upto"]))
     return cache
 
 
@@ -348,6 +348,36 @@ def reference_parse(data: bytes) -> tuple[dict[str, int], dict[str, int]] | None
         else:
             raise ValueError(f"entry {key} has no status found or exhausted")
     return found, exhausted
+
+
+def reference_saved_text(entries: list[tuple[str, dict]]) -> str:
+    """The text `ResultCache.save` writes, as json.dump with indent 2 and
+    sorted keys, plus a newline, but holding the entries (key, entry) in
+    the order given, a key as often as it comes."""
+    doc = {"codec_version": CODEC_VERSION, "entries": {},
+           "machine_encoding_version": MACHINE_ENCODING_VERSION}
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not entries:
+        return text
+    # each entry as json.dump writes a one-entry object, one level deeper
+    rows = [json.dumps({key: entry}, indent=2, sort_keys=True)[1:-2].replace("\n", "\n  ")
+            for key, entry in entries]
+    return text.replace('"entries": {}', '"entries": {' + ",".join(rows) + "\n  }")
+
+
+def reference_in_saved_layout(data: bytes) -> bool:
+    """Whether a cache file's content is the text `reference_saved_text`
+    gives for its own entries, in their order: each a status and one z or
+    upto, in the current versions."""
+    try:
+        # every JSON object as its list of (key, value) pairs, in file order
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=lambda pairs: pairs)
+        entries = [(key, dict(fields)) for key, fields in dict(doc)["entries"]]
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return False
+    if any(set(entry) not in ({"status", "z"}, {"status", "upto"}) for _, entry in entries):
+        return False
+    return reference_saved_text(entries).encode("utf-8") == data
 
 
 def reference_emit_report(report: dict, rows: list[dict], fmt: str, out: str | None) -> None:

@@ -4,13 +4,16 @@ import functools
 import io
 import itertools
 import json
+import logging
 import os
 import random
 import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from math import isqrt
 from pathlib import Path
 from unittest import mock
@@ -25,7 +28,8 @@ from bgslab.machine import (BLANK, HALT, MOVE_R, NULL_MACHINE, ClockSpec, Transi
 
 from helpers import (ERASER, LOOPER, WRITE_11_THEN_ERASE, WRITE_ONE_AT_ORIGIN, g_star,
                      not_g, random_table, reference_cache_bytes, reference_counterexample,
-                     reference_load, reference_parse, reference_triple_decode)
+                     reference_in_saved_layout, reference_load, reference_parse,
+                     reference_saved_text, reference_triple_decode)
 
 
 def index_for(table, a=1, b=2) -> bgs.BgsIndex:
@@ -264,6 +268,21 @@ def test_a_known_least_counterexample_equals_the_literal_result(z, d):
     got = bgs._least_is(z, budget)
     assert got == literal
     assert bgs._least_is(z, budget) is got  # one shared value per (z, budget)
+
+
+@pytest.mark.parametrize("budget", [1, 40, 10 ** 30])
+def test_an_exhausted_result_is_one_shared_object(budget):
+    got = bgs._least_is(None, budget)
+    assert got == bgs.CounterexampleResult(bgs.CounterexampleStatus.EXHAUSTED, None,
+                                           budget, budget)
+    assert bgs._least_is(None, budget) is got
+
+
+def test_the_walk_and_the_cache_give_the_shared_exhausted_result():
+    cache = bgs.ResultCache()
+    ix = index_for(LOOPER)
+    assert bgs.counterexample(ix, 40, cache) is bgs._least_is(None, 40)  # a walk
+    assert cache.lookup(ix.n, 30) is bgs._least_is(None, 30)  # an exhausted entry
 
 
 def test_scan_empty_range_is_empty():
@@ -844,7 +863,7 @@ def scanned_cache(count: int) -> bgs.ResultCache:
     records them, every third exhausted."""
     cache = bgs.ResultCache()
     for n in range(count):
-        cache._merge(n, 3 * n + 1 if n % 3 else None, 500)
+        cache._merge(str(n), 3 * n + 1 if n % 3 else -500)
     return cache
 
 
@@ -853,7 +872,7 @@ def cache_ending_on_a_piece_boundary() -> bgs.ResultCache:
     cache = scanned_cache(1000)
     size = len(reference_cache_bytes(cache))
     entry = len(',\n    "": {\n      "status": "found",\n      "z": 0\n    }')
-    cache._merge("9" * (2 * bgs._PIECE - size - entry), 0, 0)
+    cache._merge("9" * (2 * bgs._PIECE - size - entry), 0)
     assert len(reference_cache_bytes(cache)) == 2 * bgs._PIECE
     return cache
 
@@ -875,7 +894,7 @@ def test_a_cache_in_any_key_order_is_saved_sorted(tmp_path):
     cache = bgs.ResultCache()
     rng = random.Random(7)
     for n in rng.sample(range(10 ** 6), 3 * bgs._BATCH + 5):
-        cache._merge(n, None, n + 1)
+        cache._merge(str(n), -(n + 1))
     path = tmp_path / "cache.json"
     cache.save(path)
     assert path.read_bytes() == reference_cache_bytes(cache)
@@ -1049,6 +1068,75 @@ def test_a_file_reaches_the_disk_before_it_replaces_the_old_one(tmp_path, monkey
     assert path.read_text() == text
 
 
+@pytest.mark.skipif(os.name != "posix", reason="links made without privileges")
+@pytest.mark.parametrize("dangling", [False, True], ids=["link", "dangling-link"])
+def test_a_write_through_a_link_replaces_its_target(tmp_path, dangling):
+    target = tmp_path / "data" / "report.json"
+    target.parent.mkdir()
+    if not dangling:
+        target.write_text("old\n")
+    link = tmp_path / "report.json"
+    os.symlink(target, link)
+    bgs.write_text(link, lambda out: out.write("new\n"))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "report.json"]
+    assert [p.name for p in target.parent.iterdir()] == ["report.json"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="links made without privileges")
+def test_a_cache_saved_through_a_link_stays_one_file(tmp_path):
+    target = tmp_path / "data" / "cache.json"
+    target.parent.mkdir()
+    scanned_cache(3).save(target)
+    link = tmp_path / "cache.json"
+    os.symlink(target, link)
+    cache = bgs.ResultCache.load(link)
+    assert cache._entries == scanned_cache(3)._entries
+    bgs.counterexample(index_for(ERASER), 200, cache)
+    cache.save(link)
+    assert link.is_symlink() and target.read_bytes() == reference_cache_bytes(cache)
+    fd = bgs._lock(link)  # the directory whose entry the rename replaces
+    try:
+        assert fd is None or os.fstat(fd).st_ino == target.parent.stat().st_ino
+    finally:
+        if fd is not None:
+            os.close(fd)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so that a reader left waiting on a replaced FIFO ends with the run
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    text = "z" * (3 * bgs._PIECE)  # more than a pipe holds at once
+    assert bgs.write_text(fifo, lambda out: out.write(text)) is None
+    reader.join(timeout=30)
+    assert got == [text.encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+
+@pytest.mark.parametrize("lockless", [False, True], ids=["locked", "no-fcntl"])
+def test_a_writing_save_removes_the_stale_siblings_it_may(tmp_path, monkeypatch, lockless):
+    if lockless:
+        monkeypatch.setitem(sys.modules, "fcntl", None)  # import fcntl raises
+    path = tmp_path / "cache.json"
+    planted = ["cache.json.999999.tmp", "cache.json.1.tmp", "cache.json.bak.tmp",
+               "cache.json.12.tmp.x", "cache.json..tmp", "other.json.7.tmp"]
+    for name in planted:
+        (tmp_path / name).write_text("left by a killed save")
+    cache = scanned_cache(3)
+    cache.save(path)
+    locked = not lockless and os.name == "posix"  # Windows has no fcntl
+    stale = {"cache.json.999999.tmp", "cache.json.1.tmp"} if locked else set()
+    assert {p.name for p in tmp_path.iterdir()} == {"cache.json", *planted} - stale
+    assert path.read_bytes() == reference_cache_bytes(cache)
+
+
 @pytest.fixture
 def default_digit_limit():
     """CPython's default limit on int-str conversions, which the package
@@ -1065,8 +1153,8 @@ def test_a_key_above_the_default_digit_limit_survives_load_and_save(
         tmp_path, caplog, default_digit_limit):
     big = "9" + "1" * 5388  # as long as the index of the cutoff-64 machine
     path = tmp_path / "cache.json"
-    path.write_text(cache_file({big: {"status": "found", "z": 93},
-                                "1": {"status": "exhausted", "upto": 40}}))
+    path.write_text(reference_saved_text([(big, {"status": "found", "z": 93}),
+                                          ("1", {"status": "exhausted", "upto": 40})]))
     cache = bgs.ResultCache.load(path)
     assert cache.lookup(1, 40) is not None
     ix = index_for(ERASER)
@@ -1090,9 +1178,9 @@ def caches(draw):
     cache = bgs.ResultCache()
     for n in draw(st.lists(naturals, max_size=40, unique=True)):
         if draw(st.booleans()):
-            cache._merge(n, draw(naturals), 0)
+            cache._merge(str(n), draw(naturals))
         else:
-            cache._merge(n, None, draw(naturals.map(lambda u: u + 1)))
+            cache._merge(str(n), -draw(naturals.map(lambda u: u + 1)))
     return cache
 
 
@@ -1105,20 +1193,37 @@ def test_written_bytes_equal_json_dump(cache):
         assert path.read_bytes() == reference_cache_bytes(cache)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(caches(), st.sampled_from([None, 2, "saved"]), st.randoms(use_true_random=False))
-def test_loads_equal_the_entry_by_entry_merge(cache, indent, rng):
-    entries = json.loads(reference_cache_bytes(cache))["entries"]
-    items = list(entries.items())
-    rng.shuffle(items)  # any entry order, any layout
-    doc = {"codec_version": codec.CODEC_VERSION,
-           "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION, "entries": dict(items)}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cache.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n" if indent == "saved"
-                        else json.dumps(doc, indent=indent))
-        loaded, reference = bgs.ResultCache.load(path), reference_load(path)
-    assert loaded._entries == reference._entries == cache._entries
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["0", "7", "10", "4" * 4301]),
+                          st.one_of(naturals, naturals.map(lambda u: -u - 1))), max_size=12),
+       st.randoms(use_true_random=False))
+def test_the_int_merge_equals_the_reference_merge(events, rng):
+    rng.shuffle(events)  # any order of found entries and exhausted bounds
+    cache = bgs.ResultCache()
+    for key, value in events:
+        cache._merge(key, value)
+    found, exhausted = {}, {}
+    for key, value in events:  # a found entry beats an exhausted one, the larger bound wins
+        if value >= 0:
+            found[key] = value
+        else:
+            exhausted[key] = max(exhausted.get(key, 0), -value)
+    assert cache._entries == {**{key: -upto for key, upto in exhausted.items()
+                                 if key not in found}, **found}
+
+
+@contextmanager
+def logged_warnings():
+    """The messages of the warnings that the result cache logs in the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(bgs.__name__)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
 
 
 def parsed_or_rejected(parse, content: bytes):
@@ -1138,11 +1243,57 @@ def split(entries: dict[str, int] | None):
             {n: -value for n, value in entries.items() if value < 0})
 
 
-def assert_parses_as_the_reference(text: str):
+def assert_read_as_the_reference(text: str) -> bool:
+    """Check that a cache file of content text is read exactly when it is
+    in the saved layout and `reference_parse` accepts it, and then as that
+    reads it; that any other file gives one warning and no entry, and the
+    next save replaces it by the empty cache's file.  Returns whether it
+    is read."""
     content = text.encode("utf-8")
-    want = parsed_or_rejected(reference_parse, content)
+    want = parsed_or_rejected(reference_parse, content) if reference_in_saved_layout(content) else None
+    read = isinstance(want, tuple)
     got = parsed_or_rejected(lambda data: split(bgs._parse(data.decode("utf-8"))), content)
-    assert got == want
+    assert got == want if read else got.startswith("rejected: ")
+    with tempfile.TemporaryDirectory() as tmp, logged_warnings() as warned:
+        path = Path(tmp) / "cache.json"
+        path.write_bytes(content)
+        cache = bgs.ResultCache.load(path)
+        if read:
+            assert split(cache._entries) == want and warned == []
+        else:
+            [warning] = warned
+            assert warning.startswith(f"ignoring corrupt cache {path}: ")
+            assert cache._entries == {}
+            cache.save(path)
+            assert path.read_bytes() == reference_cache_bytes(bgs.ResultCache())
+    return read
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(caches(), st.sampled_from([None, 2, "saved", "shuffled"]),
+       st.randoms(use_true_random=False))
+def test_loads_equal_the_entry_by_entry_merge(cache, indent, rng):
+    entries = json.loads(reference_cache_bytes(cache))["entries"]
+    items = list(entries.items())
+    rng.shuffle(items)  # any entry order, any layout
+    doc = {"codec_version": codec.CODEC_VERSION,
+           "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION, "entries": dict(items)}
+    if indent == "shuffled":  # save's layout, the entries in the drawn order
+        text = reference_saved_text(items)
+    elif indent == "saved":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        text = json.dumps(doc, indent=indent)
+    with tempfile.TemporaryDirectory() as tmp, logged_warnings() as warned:
+        path = Path(tmp) / "cache.json"
+        path.write_text(text)
+        loaded, reference = bgs.ResultCache.load(path), reference_load(path)
+        if indent in ("saved", "shuffled"):
+            assert loaded._entries == reference._entries == cache._entries and warned == []
+        else:  # another layout: ignored with a warning, and replaced by a save
+            assert loaded._entries == {} and len(warned) == 1
+            loaded.save(path)
+            assert path.read_bytes() == reference_cache_bytes(bgs.ResultCache())
 
 
 def load_without_json(path) -> bgs.ResultCache:
@@ -1154,7 +1305,7 @@ def load_without_json(path) -> bgs.ResultCache:
 def test_the_golden_cache_parses_as_the_reference():
     golden = Path(__file__).parent / "golden" / "cache_scan_15_18.json"
     text = golden.read_text(encoding="utf-8")
-    assert_parses_as_the_reference(text)
+    assert assert_read_as_the_reference(text)
     assert split(bgs._parse(text))[0]  # it holds found entries
     assert split(load_without_json(golden)._entries) == reference_parse(golden.read_bytes())
 
@@ -1163,9 +1314,9 @@ def test_the_golden_cache_parses_as_the_reference():
 @given(caches(), st.sampled_from([None, 2]))
 def test_written_and_compact_caches_parse_as_the_reference(cache, indent):
     doc = json.loads(reference_cache_bytes(cache))
-    assert_parses_as_the_reference(json.dumps(doc, indent=indent))
-    assert_parses_as_the_reference(json.dumps(doc, separators=(",", ":")))
-    assert_parses_as_the_reference(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert not assert_read_as_the_reference(json.dumps(doc, indent=indent))
+    assert not assert_read_as_the_reference(json.dumps(doc, separators=(",", ":")))
+    assert assert_read_as_the_reference(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # values that are not naturals where an entry needs one
@@ -1227,8 +1378,8 @@ def odd_cache_files(draw):
                                         odd_values(1), max_size=2)))
     if draw(st.integers(0, 9)) == 5:
         doc = draw(st.one_of(file_entries(depth=1), odd_numbers))
-    if draw(st.integers(0, 2)) == 1:  # save's layout, which the reader matches
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if draw(st.integers(0, 2)) == 1:  # save's layout, entries in any order
+        return json.dumps(doc, indent=2, sort_keys=draw(st.booleans())) + "\n"
     return json.dumps(doc, indent=draw(st.sampled_from([None, 2])),
                       sort_keys=draw(st.booleans()))
 
@@ -1249,20 +1400,23 @@ FOUND_1 = {"status": "found", "z": 1}
 def test_files_that_hide_an_int_parse_as_the_reference(doc):
     versions = {"codec_version": codec.CODEC_VERSION,
                 "machine_encoding_version": bgs.MACHINE_ENCODING_VERSION}
-    assert_parses_as_the_reference(json.dumps({**versions, **doc}))
-    assert_parses_as_the_reference(json.dumps(FOUND_1))  # the file's object
+    assert not assert_read_as_the_reference(json.dumps({**versions, **doc}))
+    # and in save's layout
+    saved = json.dumps({**versions, **doc}, indent=2, sort_keys=True) + "\n"
+    assert not assert_read_as_the_reference(saved)
+    assert not assert_read_as_the_reference(json.dumps(FOUND_1))  # the file's object
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(odd_cache_files())
 def test_odd_caches_parse_as_the_reference(text):
-    assert_parses_as_the_reference(text)
+    assert_read_as_the_reference(text)
 
 
 def cache_with_long_keys() -> bgs.ResultCache:
     cache = scanned_cache(3)
-    cache._merge("7" * 4301, 93, 0)  # past CPython's default digit limit
-    cache._merge("8" * 5000, None, 40)
+    cache._merge("7" * 4301, 93)  # past CPython's default digit limit
+    cache._merge("8" * 5000, -40)
     return cache
 
 
@@ -1281,8 +1435,8 @@ def test_every_saved_file_is_read_without_json(cache):
 def saved_text() -> str:
     """The file `save` writes for two found and two exhausted entries."""
     cache = bgs.ResultCache()
-    for n, z, upto in [(9, 93, 0), (10, None, 50), (17, 93, 0), (40, None, 7)]:
-        cache._merge(n, z, upto)
+    for key, value in [("9", 93), ("10", -50), ("17", 93), ("40", -7)]:
+        cache._merge(key, value)
     return reference_cache_bytes(cache).decode()
 
 
@@ -1311,7 +1465,8 @@ def test_a_departure_from_the_saved_layout_parses_as_the_reference(old, new):
     at = text.rindex(old) if old == "}\n" else text.index(old)
     departed = text[:at] + new + text[at + len(old):]
     assert departed != text
-    assert_parses_as_the_reference(departed)
+    # only a repeated key, read as its last entry, keeps save's layout
+    assert assert_read_as_the_reference(departed) == (old == '"9":')
 
 
 def test_cold_and_warm_results_are_identical(tmp_path):

@@ -4,8 +4,10 @@ import itertools
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -328,6 +330,15 @@ def test_a_malformed_cache_is_searched_afresh(capsys, tmp_path):
     assert out == fresh
 
 
+def python_m_bgslab(argv, timeout=60) -> subprocess.CompletedProcess:
+    """`python -m bgslab` with argv, this checkout's package first on the path."""
+    src = str(pathlib.Path(bgslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "bgslab", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 @pytest.mark.parametrize("content", [
     # a bare int under "17" and an entry as the z of "18", which once
     # balanced a count of the entries read and answered z = 5
@@ -340,16 +351,52 @@ def test_a_malformed_cache_is_searched_afresh(capsys, tmp_path):
 def test_a_damaged_cache_warns_and_gives_the_cold_answer(tmp_path, content):
     cache = tmp_path / "cache.json"
     cache.write_text(content)
-    src = str(pathlib.Path(bgslab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-m", "bgslab", "bgs", "counterexample",
-                           "--index", "17", "--budget", "200", "--cache", str(cache)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = python_m_bgslab(["bgs", "counterexample", "--index", "17", "--budget", "200",
+                            "--cache", str(cache)])
     assert proc.returncode == 0
     assert f"ignoring corrupt cache {cache}" in proc.stderr
     assert proc.stdout == (GOLDEN / "bgs_counterexample_17.json").read_text()
     assert json.loads(cache.read_text())["entries"] == {"17": {"status": "found", "z": 93}}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_fifo_out_file_gets_the_report(capsys, tmp_path):
+    fifo = tmp_path / "scan.fifo"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so that a reader left waiting on a replaced FIFO ends with the run
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    rc, out, err = run_cli(capsys, ["bgs", "scan", "--from", "15", "--to", "16",
+                                    "--budget", "120", "--out", str(fifo)])
+    reader.join(timeout=30)
+    assert (rc, out, err) == (0, "", "")
+    assert got == [(GOLDEN / "bgs_scan_15_16.json").read_text()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_fifo_cache_exits_two_before_any_work(tmp_path):
+    fifo = tmp_path / "cache.fifo"
+    os.mkfifo(fifo)
+    # in a child with a timeout, since opening a FIFO for reading waits for a writer
+    proc = python_m_bgslab(["bgs", "counterexample", "--index", "17", "--budget", "200",
+                            "--cache", str(fifo)], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"bgslab: cache {fifo} is not a regular file\n"
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="links made without privileges")
+def test_a_cache_through_a_dangling_link_is_saved_to_its_target(capsys, tmp_path):
+    target = tmp_path / "data" / "cache.json"
+    target.parent.mkdir()
+    link = tmp_path / "cache.json"
+    os.symlink(target, link)
+    rc, _, _ = run_cli(capsys, ["bgs", "scan", "--from", "15", "--to", "18",
+                                "--cache", str(link)])
+    assert rc == 0 and link.is_symlink()
+    assert target.read_bytes() == (GOLDEN / "cache_scan_15_18.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
